@@ -64,6 +64,13 @@ impl std::fmt::Display for DetectError {
 
 impl std::error::Error for DetectError {}
 
+/// The fail-closed decision rule shared by [`Detector::verdict_for`] and
+/// the pipeline classifiers: attack when `score > threshold` or when the
+/// score is not finite (NaN or ±∞), which a plain comparison would pass.
+pub(crate) fn exceeds(score: f64, threshold: f64) -> bool {
+    !score.is_finite() || score > threshold
+}
+
 /// The constellation-statistics detector.
 ///
 /// # Examples
@@ -174,11 +181,15 @@ impl Detector {
     /// statistic meets the threshold. `detect` and `detect_aggregated`
     /// used to repeat this match inline; the detection pipeline's legacy
     /// configuration reuses it for bit-identical decisions.
+    ///
+    /// A non-finite statistic (e.g. an all-zero constellation, whose
+    /// normalized cumulants divide by zero) is an attack verdict: content
+    /// the detector cannot measure must not pass as authentic.
     pub fn verdict_for(&self, features: Features) -> Verdict {
         let de_squared = self.assumption.de_squared(&features);
         Verdict {
             de_squared,
-            is_attack: de_squared > self.threshold,
+            is_attack: exceeds(de_squared, self.threshold),
             features,
         }
     }
@@ -242,6 +253,31 @@ mod tests {
         let back = emu.received_at_zigbee(&em);
         let mut rng = StdRng::seed_from_u64(seed);
         Receiver::usrp().receive(&Link::awgn(snr_db).transmit(&back, &mut rng))
+    }
+
+    #[test]
+    fn non_finite_statistic_fails_closed() {
+        // An all-zero cloud has C21 = 0: the normalized cumulants divide by
+        // zero and DE² is NaN, which `DE² > Q` alone would pass.
+        let f = Features::estimate(&[Complex::ZERO; 16]).unwrap();
+        for assumption in [ChannelAssumption::Ideal, ChannelAssumption::Real] {
+            let v = Detector::new(assumption).verdict_for(f);
+            assert!(
+                v.de_squared.is_nan(),
+                "{assumption:?}: DE² {}",
+                v.de_squared
+            );
+            assert!(v.is_attack, "{assumption:?}: NaN DE² must be an attack");
+        }
+        // An infinite statistic from otherwise clean QPSK features.
+        let qpsk = [Complex::ONE, Complex::I, -Complex::ONE, -Complex::I];
+        let clean = Features::estimate(&qpsk).unwrap();
+        assert!(!Detector::default().verdict_for(clean).is_attack);
+        let inf = Features {
+            c42: f64::INFINITY,
+            ..clean
+        };
+        assert!(Detector::default().verdict_for(inf).is_attack);
     }
 
     #[test]

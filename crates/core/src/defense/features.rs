@@ -18,10 +18,19 @@
 //! 4ω i)}` plus zero-mean terms, so `|C40|` is the peak magnitude of the
 //! frequency spectrum of `d_i⁴` — invariant to both `θ` and `Δf`. `C42`
 //! depends only on `|d|` and needs no protection.
+//!
+//! The line is searched on a fixed grid of 301 rotation rates spanning
+//! ±0.3 rad per chip pair. The whole grid is evaluated at once by a
+//! chirp-z transform ([`ctc_dsp::czt::ChirpZ`]): two FFTs of the next
+//! power of two at or above `N + 300` for `N` points (1024 for one frame)
+//! instead of 301 direct DTFT sums. Each thread keeps its own evaluator
+//! and fourth-power scratch, so steady-state estimation does not allocate.
 
 use ctc_dsp::cumulants::{Cumulants, EmptySamplesError};
-use ctc_dsp::{simd, Complex};
+use ctc_dsp::czt::ChirpZ;
+use ctc_dsp::Complex;
 use ctc_zigbee::Reception;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Theoretical QPSK feature vector `v = [C40, C42]ᵀ` (Table III row 2).
@@ -48,6 +57,46 @@ fn nu_grid() -> &'static [f64; LINE_SEARCH_STEPS] {
         }
         grid
     })
+}
+
+/// One thread's line-search state: the chirp-z evaluator for the grid
+/// (with its per-FFT-length plans) and the fourth-power scratch.
+struct LineSearch {
+    czt: ChirpZ,
+    z: Vec<Complex>,
+}
+
+thread_local! {
+    static LINE_SEARCH: RefCell<LineSearch> = RefCell::new(LineSearch {
+        czt: ChirpZ::new(
+            -LINE_SEARCH_MAX,
+            2.0 * LINE_SEARCH_MAX / (LINE_SEARCH_STEPS - 1) as f64,
+            LINE_SEARCH_STEPS,
+        ),
+        z: Vec::new(),
+    });
+}
+
+impl LineSearch {
+    /// The strongest grid line of `points`' fourth-power sequence: its
+    /// squared DTFT magnitude and its frequency (`(0.0, 0.0)` when no line
+    /// is positive).
+    fn peak(&mut self, points: &[Complex]) -> (f64, f64) {
+        self.z.clear();
+        self.z.extend(points.iter().map(|&p| {
+            let p2 = p * p;
+            p2 * p2
+        }));
+        let mut power = [0.0f64; LINE_SEARCH_STEPS];
+        self.czt.norm_sqr_into(&self.z, &mut power);
+        let mut best = (0.0f64, 0.0f64);
+        for (&p, &nu) in power.iter().zip(nu_grid()) {
+            if p > best.0 {
+                best = (p, nu);
+            }
+        }
+        best
+    }
 }
 
 /// Builds the defense's constellation from a reception: the raw chip
@@ -90,49 +139,10 @@ impl Features {
     ///
     /// Returns [`EmptySamplesError`] for an empty point set.
     pub fn estimate(points: &[Complex]) -> Result<Self, EmptySamplesError> {
-        Self::estimate_with_scratch(points, &mut Vec::new())
-    }
-
-    /// Estimates features for a whole batch of constellations (one slice
-    /// per burst), sharing the fourth-power scratch buffer across bursts so
-    /// steady-state classification performs one allocation per batch
-    /// instead of one per frame.
-    pub fn estimate_batch(bursts: &[&[Complex]]) -> Vec<Result<Self, EmptySamplesError>> {
-        let mut z = Vec::new();
-        bursts
-            .iter()
-            .map(|pts| Self::estimate_with_scratch(pts, &mut z))
-            .collect()
-    }
-
-    fn estimate_with_scratch(
-        points: &[Complex],
-        z: &mut Vec<Complex>,
-    ) -> Result<Self, EmptySamplesError> {
         let c = Cumulants::estimate(points)?;
         let c21 = c.c21();
-        // Fourth-power sequence for the spectral-line search.
-        z.clear();
-        z.extend(points.iter().map(|&p| {
-            let p2 = p * p;
-            p2 * p2
-        }));
-        let d = z.len() as f64;
-        // Evaluate the whole grid lane-parallel across frequencies; the
-        // per-frequency arithmetic is bit-equal to `dtft_magnitude`, so the
-        // argmax below selects exactly the same line as the scalar loop.
-        let nus = nu_grid();
-        let mut mags = [0.0f64; LINE_SEARCH_STEPS];
-        simd::dtft_norms(z, nus, &mut mags);
-        let mut best_mag = 0.0f64;
-        let mut best_nu = 0.0f64;
-        for (s, &m) in mags.iter().enumerate() {
-            let mag = m / d;
-            if mag > best_mag {
-                best_mag = mag;
-                best_nu = nus[s];
-            }
-        }
+        let (power, best_nu) = LINE_SEARCH.with(|line| line.borrow_mut().peak(points));
+        let best_mag = power.sqrt() / points.len() as f64;
         // Normalize like the other cumulants. The `-3 C20²` correction is
         // omitted in the line estimator: under rotation C20 washes to ~0,
         // and for axis-aligned QPSK it is exactly 0.
@@ -275,42 +285,74 @@ mod tests {
         assert!(Features::estimate(&[]).is_err());
     }
 
-    #[test]
-    fn horner_dtft_matches_naive_sum() {
-        // Lengths exercising every partial-block case (len % 4 = 0..=3).
-        for n in [1usize, 2, 3, 4, 5, 96, 97, 98, 99] {
-            let z: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
-                .collect();
-            for &nu in &[-0.3, -0.1234, 0.0, 0.077, 0.3] {
-                let naive: Complex = z
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| v * Complex::cis(-nu * i as f64))
-                    .sum();
-                let mut fast = [0.0];
-                simd::dtft_norms(&z, &[nu], &mut fast);
-                assert!(
-                    (fast[0] - naive.norm()).abs() < 1e-9,
-                    "n={n} nu={nu}: {} vs {}",
-                    fast[0],
-                    naive.norm()
-                );
+    /// The direct-sum oracle over the same grid: every grid point's
+    /// `|DTFT| / N` of the fourth-power sequence.
+    fn naive_line_magnitudes(points: &[Complex]) -> [f64; LINE_SEARCH_STEPS] {
+        let z: Vec<Complex> = points.iter().map(|&p| (p * p) * (p * p)).collect();
+        let mut mags = [0.0; LINE_SEARCH_STEPS];
+        ctc_dsp::simd::reference::dtft_norms(&z, nu_grid(), &mut mags);
+        for m in &mut mags {
+            *m /= z.len() as f64;
+        }
+        mags
+    }
+
+    /// The oracle's line: the first strict maximum, as `(magnitude, nu)`.
+    fn naive_line(points: &[Complex]) -> (f64, f64) {
+        let mut best = (0.0, 0.0);
+        for (&m, &nu) in naive_line_magnitudes(points).iter().zip(nu_grid()) {
+            if m > best.0 {
+                best = (m, nu);
             }
         }
-        let mut empty = [1.0];
-        simd::dtft_norms(&[], &[0.1], &mut empty);
-        assert_eq!(empty[0], 0.0);
+        best
     }
 
     #[test]
-    fn estimate_batch_matches_per_burst_estimate() {
-        let a = constellation_from_reception(&reception(20.0, 75));
-        let b = constellation_from_reception(&reception(5.0, 76));
-        let batch = Features::estimate_batch(&[&a, &[], &b]);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0].unwrap(), Features::estimate(&a).unwrap());
-        assert!(batch[1].is_err());
-        assert_eq!(batch[2].unwrap(), Features::estimate(&b).unwrap());
+    fn chirp_z_line_search_matches_naive_sum() {
+        // Lengths exercising the degenerate and single-frame convolutions.
+        for n in [1usize, 2, 3, 4, 5, 96, 97, 98, 99, 429] {
+            let pts: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
+                .collect();
+            let f = Features::estimate(&pts).unwrap();
+            let c21 = Cumulants::estimate(&pts).unwrap().c21();
+            let mags = naive_line_magnitudes(&pts);
+            let (peak, _) = naive_line(&pts);
+            let want = peak / (c21 * c21);
+            assert!(
+                (f.c40_magnitude - want).abs() <= 1e-11 * want,
+                "n={n}: {} vs {want}",
+                f.c40_magnitude
+            );
+            // A flat spectrum (n = 1) ties every grid point, so check that
+            // the chosen line is a maximum rather than which one it is.
+            let s = nu_grid().iter().position(|&nu| nu == f.line_frequency);
+            let chosen = mags[s.expect("line frequency is a grid point")];
+            assert!((peak - chosen).abs() <= 1e-11 * peak, "n={n}");
+        }
+    }
+
+    #[test]
+    fn line_argmax_matches_naive_sum_on_receptions() {
+        for (i, snr_db) in [3.0, 5.0, 8.0, 12.0, 17.0, 22.0, 27.0, 32.0]
+            .iter()
+            .enumerate()
+        {
+            for seed in 0..5u64 {
+                let pts =
+                    constellation_from_reception(&reception(*snr_db, 900 + 10 * i as u64 + seed));
+                let f = Features::estimate(&pts).unwrap();
+                let (_, nu) = naive_line(&pts);
+                assert_eq!(f.line_frequency, nu, "snr {snr_db} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_points_report_no_line() {
+        let f = Features::estimate(&[Complex::ZERO; 16]).unwrap();
+        assert_eq!(f.c40_magnitude, 0.0);
+        assert_eq!(f.line_frequency, 0.0);
     }
 }

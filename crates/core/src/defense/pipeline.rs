@@ -26,7 +26,7 @@
 //! visible to JSONL events and Prometheus metrics.
 
 use crate::defense::alternatives::clustered_evm;
-use crate::defense::detector::{ChannelAssumption, DetectError, Detector, Verdict};
+use crate::defense::detector::{exceeds, ChannelAssumption, DetectError, Detector, Verdict};
 use crate::defense::features::Features;
 use crate::defense::naive::{cp_similarity_4mhz, phase_trend_similarity};
 use ctc_dsp::psd::{welch_psd, Window};
@@ -481,20 +481,21 @@ pub enum Classifier {
 }
 
 impl Classifier {
-    /// Fused score and decision for one feature vector.
+    /// Fused score and decision for one feature vector. A non-finite
+    /// score is an attack decision, as in [`Detector::verdict_for`].
     pub fn decide(&self, fv: &FeatureVector) -> (f64, bool) {
         match self {
             Classifier::Threshold { feature, threshold } => {
                 let score = fv.get(feature).unwrap_or(0.0);
-                (score, score > *threshold)
+                (score, exceeds(score, *threshold))
             }
             Classifier::Logistic(m) => {
                 let p = m.probability(fv);
-                (p, p > 0.5)
+                (p, exceeds(p, 0.5))
             }
             Classifier::Stumps(e) => {
                 let s = e.score(fv);
-                (s, s > 0.5)
+                (s, exceeds(s, 0.5))
             }
         }
     }
@@ -1167,6 +1168,47 @@ mod tests {
     use ctc_zigbee::{Receiver, Transmitter};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn non_finite_scores_fail_closed() {
+        let mut nan = FeatureVector::new();
+        nan.push("de2_real", f64::NAN);
+        let threshold = Classifier::Threshold {
+            feature: "de2_real".into(),
+            threshold: 0.25,
+        };
+        let (score, attack) = threshold.decide(&nan);
+        assert!(score.is_nan() && attack, "threshold: NaN statistic passed");
+
+        let logistic = Classifier::Logistic(LogisticModel {
+            names: vec!["de2_real".into()],
+            means: vec![0.1],
+            stds: vec![0.05],
+            weights: vec![3.0],
+            bias: -1.0,
+        });
+        let (p, attack) = logistic.decide(&nan);
+        assert!(p.is_nan() && attack, "logistic: NaN probability passed");
+
+        // A stump ensemble scores a NaN feature as a finite vote, so the
+        // non-finite score here comes from a corrupt vote weight.
+        let stumps = Classifier::Stumps(StumpEnsemble {
+            stumps: vec![Stump {
+                feature: "de2_real".into(),
+                threshold: 0.25,
+                greater_is_attack: true,
+                alpha: f64::NAN,
+            }],
+        });
+        let mut clean = FeatureVector::new();
+        clean.push("de2_real", 0.01);
+        let (s, attack) = stumps.decide(&clean);
+        assert!(s.is_nan() && attack, "stumps: NaN score passed");
+
+        // Finite scores still decide by the threshold alone.
+        assert!(!threshold.decide(&clean).1);
+        assert!(!logistic.decide(&clean).1);
+    }
 
     fn zigbee_wave() -> Vec<Complex> {
         Transmitter::new().transmit_payload(b"00000").unwrap()

@@ -10,10 +10,21 @@
 //! and the forward transform recovers the components, so
 //! `fft(ifft(x)) == x` and Parseval's theorem holds as
 //! `sum |x(n)|^2 == (1/N) sum |X(k)|^2`.
+//!
+//! Each length and direction has a plan, built on first use and then
+//! shared by every thread: the bit-reversal swap list and each stage's
+//! twiddle table. Lengths above 2^16 build a throwaway plan per call
+//! instead, so one huge transform does not pin its tables for good.
+//!
+//! The twiddles come from the same serial `w *= wlen` recurrence a
+//! nested-loop FFT runs inside its butterfly loop, so the planned
+//! transform is bit-identical to that loop while the butterflies no
+//! longer wait on the recurrence.
 
 use crate::buffer::SampleBuf;
 use crate::complex::Complex;
 use crate::simd;
+use std::sync::OnceLock;
 
 /// Error produced when a transform is requested for an unsupported length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,29 +52,78 @@ fn check_len(len: usize) -> Result<(), FftLenError> {
     }
 }
 
-/// In-place iterative radix-2 butterfly; `sign` is -1 for forward, +1 for
-/// inverse (no scaling applied here).
-fn transform_in_place(buf: &mut [Complex], sign: f64) {
-    let n = buf.len();
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
+/// Largest `log2(len)` whose plans are cached for the life of the process.
+const CACHED_LOG2_MAX: usize = 16;
+
+/// Lazily built plans, indexed by `log2(len)` and then direction
+/// (0 = forward, 1 = inverse).
+static PLANS: [[OnceLock<Plan>; 2]; CACHED_LOG2_MAX + 1] =
+    [const { [const { OnceLock::new() }; 2] }; CACHED_LOG2_MAX + 1];
+
+/// Precomputed tables for one transform length and direction: the
+/// bit-reversal swaps and every stage's twiddles.
+struct Plan {
+    /// `(i, j)` pairs with `i < j`, in the order the classic in-place
+    /// bit-reversal loop swaps them.
+    swaps: Vec<(u32, u32)>,
+    /// The twiddles of stages `len = 2, 4, …, n`, concatenated: stage
+    /// `len` holds `len / 2` entries starting at offset `len / 2 - 1`.
+    twiddles: Vec<Complex>,
+}
+
+impl Plan {
+    fn new(n: usize, inverse: bool) -> Self {
+        let mut swaps = Vec::new();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                swaps.push((i as u32, j as u32));
+            }
         }
-        j |= bit;
-        if i < j {
-            buf.swap(i, j);
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut len = 2;
+        while len <= n {
+            // The serial `w *= wlen` recurrence of the nested-loop FFT,
+            // run once here so every transform keeps its exact twiddles.
+            let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+            let mut w = Complex::ONE;
+            for _ in 0..len / 2 {
+                twiddles.push(w);
+                w *= wlen;
+            }
+            len <<= 1;
+        }
+        Plan { swaps, twiddles }
+    }
+
+    fn apply(&self, buf: &mut [Complex]) {
+        for &(i, j) in &self.swaps {
+            buf.swap(i as usize, j as usize);
+        }
+        let mut half = 1;
+        while half < buf.len() {
+            simd::fft_stage(buf, &self.twiddles[half - 1..2 * half - 1]);
+            half <<= 1;
         }
     }
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        simd::fft_stage(buf, len, wlen);
-        len <<= 1;
+}
+
+/// In-place iterative radix-2 butterfly with no scaling, forward or
+/// inverse; `buf.len()` must be a nonzero power of two.
+pub(crate) fn transform_in_place(buf: &mut [Complex], inverse: bool) {
+    let log2 = buf.len().trailing_zeros() as usize;
+    match PLANS.get(log2) {
+        Some(slots) => slots[usize::from(inverse)]
+            .get_or_init(|| Plan::new(buf.len(), inverse))
+            .apply(buf),
+        None => Plan::new(buf.len(), inverse).apply(buf),
     }
 }
 
@@ -89,14 +149,15 @@ pub fn fft(x: &[Complex]) -> Result<Vec<Complex>, FftLenError> {
     Ok(buf)
 }
 
-/// Forward FFT transforming the buffer in place (no allocation).
+/// Forward FFT transforming the buffer in place. It allocates only to
+/// build the length's plan on first use (every call above 2^16 points).
 ///
 /// # Errors
 ///
 /// Returns [`FftLenError`] unless `buf.len()` is a nonzero power of two.
 pub fn fft_in_place(buf: &mut [Complex]) -> Result<(), FftLenError> {
     check_len(buf.len())?;
-    transform_in_place(buf, -1.0);
+    transform_in_place(buf, false);
     Ok(())
 }
 
@@ -109,7 +170,7 @@ pub fn fft_into(x: &[Complex], out: &mut SampleBuf) -> Result<(), FftLenError> {
     check_len(x.len())?;
     out.clear();
     out.extend_from_slice(x);
-    transform_in_place(out, -1.0);
+    transform_in_place(out, false);
     Ok(())
 }
 
@@ -124,14 +185,15 @@ pub fn ifft(spectrum: &[Complex]) -> Result<Vec<Complex>, FftLenError> {
     Ok(buf)
 }
 
-/// Inverse FFT transforming the buffer in place (no allocation).
+/// Inverse FFT transforming the buffer in place. It allocates only to
+/// build the length's plan on first use (every call above 2^16 points).
 ///
 /// # Errors
 ///
 /// Returns [`FftLenError`] unless `buf.len()` is a nonzero power of two.
 pub fn ifft_in_place(buf: &mut [Complex]) -> Result<(), FftLenError> {
     check_len(buf.len())?;
-    transform_in_place(buf, 1.0);
+    transform_in_place(buf, true);
     let n = buf.len() as f64;
     for v in buf.iter_mut() {
         *v /= n;
@@ -243,6 +305,75 @@ mod tests {
         let fast = fft(&x).unwrap();
         let slow = dft_naive(&x);
         assert!(close_vec(&fast, &slow, 1e-9));
+    }
+
+    /// The nested-loop transform the plans replaced: in-place bit reversal,
+    /// then per stage a butterfly loop carrying the `w *= wlen` recurrence.
+    fn nested_loop_transform(buf: &mut [Complex], sign: f64) {
+        let n = buf.len();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+            for block in buf.chunks_exact_mut(len) {
+                let mut w = Complex::ONE;
+                for k in 0..len / 2 {
+                    let u = block[k];
+                    let v = block[k + len / 2] * w;
+                    block[k] = u + v;
+                    block[k + len / 2] = u - v;
+                    w *= wlen;
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn planned_transforms_are_bit_identical_to_nested_loop() {
+        for log2 in 1..=12 {
+            let n = 1usize << log2;
+            let x: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.61).sin(), (i as f64 * 1.7).cos()))
+                .collect();
+
+            let mut got = x.clone();
+            fft_in_place(&mut got).unwrap();
+            let mut want = x.clone();
+            nested_loop_transform(&mut want, -1.0);
+            assert_eq!(got, want, "fft n={n}");
+
+            let mut got = x.clone();
+            ifft_in_place(&mut got).unwrap();
+            let mut want = x.clone();
+            nested_loop_transform(&mut want, 1.0);
+            for v in &mut want {
+                *v /= n as f64;
+            }
+            assert_eq!(got, want, "ifft n={n}");
+        }
+    }
+
+    #[test]
+    fn uncached_lengths_match_the_nested_loop() {
+        let n = 1usize << (CACHED_LOG2_MAX + 1);
+        let x: Vec<Complex> = (0..n).map(|i| Complex::new(i as f64 % 7.0, -1.0)).collect();
+        let mut got = x.clone();
+        fft_in_place(&mut got).unwrap();
+        let mut want = x;
+        nested_loop_transform(&mut want, -1.0);
+        assert_eq!(got, want);
     }
 
     #[test]

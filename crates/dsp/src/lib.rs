@@ -1,9 +1,9 @@
 //! # ctc-dsp
 //!
 //! Signal-processing substrate for the *Hide and Seek* (ICDCS 2019)
-//! reproduction: complex IQ samples, radix-2 FFT/IFFT, FIR filtering,
-//! integer-factor resampling, higher-order cumulants, waveform metrics and
-//! k-means clustering.
+//! reproduction: complex IQ samples, radix-2 FFT/IFFT, chirp-z spectral
+//! evaluation, FIR filtering, integer-factor resampling, higher-order
+//! cumulants, waveform metrics and k-means clustering.
 //!
 //! Everything operates on complex baseband sample vectors (`Vec<Complex>`)
 //! and is deterministic; randomness only enters through caller-supplied
@@ -33,6 +33,7 @@
 pub mod buffer;
 pub mod complex;
 pub mod cumulants;
+pub mod czt;
 pub mod fft;
 pub mod filter;
 pub mod fractional;

@@ -22,8 +22,9 @@
 //! ## Tolerance policy
 //!
 //! Kernels that mirror a pre-existing scalar loop element-for-element
-//! ([`dtft_norms`], [`fft_stage`], [`norm_sqr_into`],
-//! [`phase_rotate_in_place`]) are bit-equal to the code they replaced.
+//! ([`fft_stage`], [`norm_sqr_into`], [`phase_rotate_in_place`]) are
+//! bit-equal to the code they replaced; [`fft_stage`] reads its twiddles
+//! from a table that the FFT plan fills by the same serial recurrence.
 //! Kernels that re-associate a reduction into per-lane partial sums
 //! ([`cdot`], [`cdot_conj`], [`dot_real`], [`dot_f64`], [`sum_norm_sqr`],
 //! [`cumulant_sums`], [`fir_interior`]) or re-seed phasors block-wise
@@ -114,50 +115,6 @@ fn reduce4(v: [f64; 4]) -> f64 {
     (v[0] + v[2]) + (v[1] + v[3])
 }
 
-/// One block-Horner term: `c[0] + c[1]·w + c[2]·w² + c[3]·w³` with the
-/// trailing products dropped for short blocks. Mirrors the original
-/// `Features::estimate` inner closure exactly (same operation order).
-#[inline(always)]
-fn dtft_block(c: &[Complex], w: Complex, w2: Complex, w3: Complex) -> Complex {
-    let mut b = c[0];
-    if c.len() > 1 {
-        b += c[1] * w;
-    }
-    if c.len() > 2 {
-        b += c[2] * w2;
-    }
-    if c.len() > 3 {
-        b += c[3] * w3;
-    }
-    b
-}
-
-/// `|Σ_i z[i]·e^{-j·nu·i}|` by block Horner at a single frequency — the
-/// scalar path [`dtft_norms`] reduces to, kept bit-equal to the original
-/// `Features::estimate` implementation.
-#[inline(always)]
-fn dtft_one(z: &[Complex], nu: f64) -> f64 {
-    let w = Complex::cis(-nu);
-    let w2 = w * w;
-    let w3 = w2 * w;
-    let w4 = w2 * w2;
-    let mut chunks = z.rchunks(4);
-    let mut acc = match chunks.next() {
-        Some(c) => dtft_block(c, w, w2, w3),
-        None => return 0.0,
-    };
-    for c in chunks {
-        let shift = match c.len() {
-            4 => w4,
-            3 => w3,
-            2 => w2,
-            _ => w,
-        };
-        acc = acc * shift + dtft_block(c, w, w2, w3);
-    }
-    acc.norm()
-}
-
 macro_rules! kernels {
     ($($(#[$meta:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -228,17 +185,12 @@ kernels! {
     /// Multiplies every sample by a constant phasor `r` in place.
     fn phase_rotate_in_place(x: &mut [Complex], r: Complex);
 
-    /// Block-Horner DTFT magnitude `|Σ_i z[i]·e^{-j·nu·i}|` for a whole
-    /// grid of frequencies, lane-parallel *across frequencies*; per-lane
-    /// arithmetic is bit-equal to the scalar single-frequency evaluation.
-    /// `out[k]` receives the magnitude at `nus[k]`.
-    fn dtft_norms(z: &[Complex], nus: &[f64], out: &mut [f64]);
-
-    /// One radix-2 FFT stage over the whole buffer: for each `len`-sized
-    /// block, butterflies between the lower and upper halves with twiddles
-    /// generated by the serial `w·wlen` recurrence — bit-identical to the
+    /// One radix-2 FFT stage over the whole buffer: for each block of
+    /// `len = 2·twiddles.len()` samples, butterflies between the lower and
+    /// upper halves, the `k`-th pair weighted by `twiddles[k]`. Given the
+    /// table the serial `w·wlen` recurrence produces, bit-identical to the
     /// classic nested-loop formulation.
-    fn fft_stage(buf: &mut [Complex], len: usize, wlen: Complex);
+    fn fft_stage(buf: &mut [Complex], twiddles: &[Complex]);
 
     /// Lane-parallel power sums for fourth-order cumulant estimation.
     fn cumulant_sums(x: &[Complex]) -> CumulantSums;
@@ -259,9 +211,7 @@ kernels! {
 /// Lane-structured kernel bodies: the single source of truth compiled both
 /// with and without AVX2 enabled.
 mod body {
-    use super::{
-        dtft_block, dtft_one, reduce, reduce4, Complex, CumulantSums, GateScanState, LANES, RESYNC,
-    };
+    use super::{reduce, reduce4, Complex, CumulantSums, GateScanState, LANES, RESYNC};
 
     #[inline(always)]
     pub fn cdot(a: &[Complex], b: &[Complex]) -> Complex {
@@ -458,98 +408,40 @@ mod body {
     }
 
     #[inline(always)]
-    pub fn dtft_norms(z: &[Complex], nus: &[f64], out: &mut [f64]) {
-        assert!(
-            out.len() >= nus.len(),
-            "dtft_norms output shorter than frequency grid"
-        );
-        if z.is_empty() {
-            out[..nus.len()].fill(0.0);
-            return;
-        }
-        let mut f = 0;
-        while f + LANES <= nus.len() {
-            let mut w = [Complex::ZERO; LANES];
-            let mut w2 = [Complex::ZERO; LANES];
-            let mut w3 = [Complex::ZERO; LANES];
-            let mut w4 = [Complex::ZERO; LANES];
-            for k in 0..LANES {
-                w[k] = Complex::cis(-nus[f + k]);
-                w2[k] = w[k] * w[k];
-                w3[k] = w2[k] * w[k];
-                w4[k] = w2[k] * w2[k];
-            }
-            let mut chunks = z.rchunks(4);
-            let first = chunks.next().expect("z nonempty");
-            let mut acc = [Complex::ZERO; LANES];
-            for k in 0..LANES {
-                acc[k] = dtft_block(first, w[k], w2[k], w3[k]);
-            }
-            for c in chunks {
-                // Only the final (front) chunk can be short; the branch is
-                // perfectly predicted and keeps the lane math identical to
-                // the scalar path.
-                match c.len() {
-                    4 => {
-                        for k in 0..LANES {
-                            acc[k] = acc[k] * w4[k]
-                                + ((c[0] + c[1] * w[k]) + c[2] * w2[k] + c[3] * w3[k]);
-                        }
-                    }
-                    len => {
-                        for k in 0..LANES {
-                            let shift = match len {
-                                3 => w3[k],
-                                2 => w2[k],
-                                _ => w[k],
-                            };
-                            acc[k] = acc[k] * shift + dtft_block(c, w[k], w2[k], w3[k]);
-                        }
+    pub fn fft_stage(buf: &mut [Complex], twiddles: &[Complex]) {
+        // The three shortest stages get fixed-size blocks, so the compiler
+        // unrolls their one-, two- and four-butterfly inner loops instead
+        // of paying loop overhead per butterfly.
+        match twiddles.len() {
+            0 => {}
+            1 => butterflies::<1>(buf, twiddles),
+            2 => butterflies::<2>(buf, twiddles),
+            4 => butterflies::<4>(buf, twiddles),
+            half => {
+                for block in buf.chunks_exact_mut(2 * half) {
+                    let (lo, hi) = block.split_at_mut(half);
+                    for ((l, h), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
+                        let u = *l;
+                        let v = *h * w;
+                        *l = u + v;
+                        *h = u - v;
                     }
                 }
             }
-            for k in 0..LANES {
-                out[f + k] = acc[k].norm();
-            }
-            f += LANES;
-        }
-        for (o, &nu) in out[f..nus.len()].iter_mut().zip(&nus[f..]) {
-            *o = dtft_one(z, nu);
         }
     }
 
+    /// [`fft_stage`] for a compile-time half-block length `H`.
     #[inline(always)]
-    pub fn fft_stage(buf: &mut [Complex], len: usize, wlen: Complex) {
-        let half = len / 2;
-        let mut i = 0;
-        while i + len <= buf.len() {
-            let (lo, hi) = buf[i..i + len].split_at_mut(half);
-            let whole = half - half % LANES;
-            let mut w = Complex::ONE;
-            for (cl, ch) in lo[..whole]
-                .chunks_exact_mut(LANES)
-                .zip(hi[..whole].chunks_exact_mut(LANES))
-            {
-                let mut tw = [Complex::ZERO; LANES];
-                for t in &mut tw {
-                    *t = w;
-                    w *= wlen;
-                }
-                for k in 0..LANES {
-                    let u = cl[k];
-                    let v = ch[k] * tw[k];
-                    cl[k] = u + v;
-                    ch[k] = u - v;
-                }
+    fn butterflies<const H: usize>(buf: &mut [Complex], twiddles: &[Complex]) {
+        let tw: [Complex; H] = twiddles.try_into().expect("H twiddles");
+        for block in buf.chunks_exact_mut(2 * H) {
+            for k in 0..H {
+                let u = block[k];
+                let v = block[k + H] * tw[k];
+                block[k] = u + v;
+                block[k + H] = u - v;
             }
-            for k in whole..half {
-                let u = lo[k];
-                let v = hi[k] * w;
-                lo[k] = u + v;
-                hi[k] = u - v;
-                w *= wlen;
-            }
-            i += len;
         }
     }
 
@@ -727,8 +619,9 @@ pub mod reference {
         }
     }
 
-    /// Naive direct-sum DTFT (one `cis` per sample per frequency) — an
-    /// independent oracle for the block-Horner lane kernel.
+    /// Naive direct-sum DTFT magnitudes (one `cis` per sample per
+    /// frequency) — the independent oracle for the chirp-z line search
+    /// ([`crate::czt::ChirpZ`]).
     pub fn dtft_norms(z: &[Complex], nus: &[f64], out: &mut [f64]) {
         for (o, &nu) in out.iter_mut().zip(nus) {
             let sum: Complex = z
@@ -740,6 +633,9 @@ pub mod reference {
         }
     }
 
+    /// The classic nested-loop stage with the twiddle recurrence inline:
+    /// the model [`super::fft_stage`] must match bit for bit when handed the
+    /// table this recurrence produces.
     pub fn fft_stage(buf: &mut [Complex], len: usize, wlen: Complex) {
         let half = len / 2;
         let mut i = 0;
@@ -854,12 +750,14 @@ mod tests {
             body::rotate_in_place(&mut x2, -0.031);
             assert_eq!(x1, x2, "rotate n={n}");
 
-            let nus: Vec<f64> = (0..19).map(|i| -0.3 + 0.033 * i as f64).collect();
-            let mut m1 = vec![0.0; nus.len()];
-            let mut m2 = vec![0.0; nus.len()];
-            dtft_norms(&a, &nus, &mut m1);
-            body::dtft_norms(&a, &nus, &mut m2);
-            assert_eq!(m1, m2, "dtft n={n}");
+            if n.is_power_of_two() {
+                let tw = recurrence_twiddles(n);
+                let mut f1 = a.clone();
+                let mut f2 = a.clone();
+                fft_stage(&mut f1, &tw);
+                body::fft_stage(&mut f2, &tw);
+                assert_eq!(f1, f2, "fft stage n={n}");
+            }
 
             let s1 = cumulant_sums(&a);
             let s2 = body::cumulant_sums(&a);
@@ -879,6 +777,20 @@ mod tests {
                 assert_eq!(ring1, ring2, "gate ring n={n}");
             }
         }
+    }
+
+    /// The forward twiddles of one `len`-point stage, by the serial
+    /// recurrence the FFT plan also runs.
+    fn recurrence_twiddles(len: usize) -> Vec<Complex> {
+        let wlen = Complex::cis(-2.0 * std::f64::consts::PI / len as f64);
+        let mut w = Complex::ONE;
+        (0..len / 2)
+            .map(|_| {
+                let t = w;
+                w *= wlen;
+                t
+            })
+            .collect()
     }
 
     fn gate_state(window: usize) -> GateScanState {
@@ -953,31 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn dtft_norms_matches_single_frequency_path_bitwise() {
-        // The lane-parallel grid evaluation must agree bit-for-bit with the
-        // one-frequency scalar path (which is itself the pre-SIMD code).
-        for n in [1usize, 2, 3, 4, 5, 96, 97, 98, 99, 428] {
-            let z = wave(n, n as u64);
-            let nus: Vec<f64> = (0..301)
-                .map(|s| -0.3 + 2.0 * 0.3 * s as f64 / 300.0)
-                .collect();
-            let mut mags = vec![0.0; nus.len()];
-            dtft_norms(&z, &nus, &mut mags);
-            for (k, &nu) in nus.iter().enumerate() {
-                assert_eq!(mags[k], dtft_one(&z, nu), "n={n} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn dtft_norms_empty_input_is_all_zero() {
-        let nus = [0.1, -0.2, 0.0];
-        let mut mags = [1.0; 3];
-        dtft_norms(&[], &nus, &mut mags);
-        assert_eq!(mags, [0.0; 3]);
-    }
-
-    #[test]
     fn rotate_in_place_stays_near_exact_cis() {
         let n = 5000;
         let mut x = vec![Complex::ONE; n];
@@ -993,11 +880,10 @@ mod tests {
         for n in [2usize, 8, 64, 256] {
             let mut len = 2;
             while len <= n {
-                let ang = -2.0 * std::f64::consts::PI / len as f64;
-                let wlen = Complex::cis(ang);
+                let wlen = Complex::cis(-2.0 * std::f64::consts::PI / len as f64);
                 let mut a = wave(n, len as u64);
                 let mut b = a.clone();
-                fft_stage(&mut a, len, wlen);
+                fft_stage(&mut a, &recurrence_twiddles(len));
                 reference::fft_stage(&mut b, len, wlen);
                 assert_eq!(a, b, "n={n} len={len}");
                 len <<= 1;

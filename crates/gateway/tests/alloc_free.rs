@@ -3,27 +3,41 @@
 //! detection → burst splitting) must make **zero** heap allocations per
 //! chunk once its buffers have warmed up.
 //!
-//! Single-threaded on purpose: the counter is process-global, so these
-//! tests run the pipeline stages inline rather than through the threaded
-//! [`Gateway`](ctc_gateway::Gateway) front door.
+//! The counter is per thread: each test runs the pipeline stages inline on
+//! its own thread rather than through the threaded
+//! [`Gateway`](ctc_gateway::Gateway) front door, and counts only its own
+//! thread's allocations. Tests running in parallel (the default harness),
+//! and the harness's own threads, therefore cannot leak allocations into
+//! one another's counts.
 
 use ctc_core::attack::EnergyDetector;
 use ctc_core::defense::{BurstCapture, BurstSplitter};
 use ctc_dsp::io::Cf32Reader;
 use ctc_dsp::{BufferPool, Complex};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocation and reallocation (frees are not interesting:
-/// the criterion is that steady state requests no new memory).
+/// Counts every allocation and reallocation made by the calling thread
+/// (frees are not interesting: the criterion is that steady state
+/// requests no new memory).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so reading it from
+    // inside the allocator never allocates or registers anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is being torn down, when
+    // nothing is measuring.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -32,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,8 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A pseudo-noise cf32 byte stream (xorshift — no rand, no allocation).
@@ -147,6 +162,29 @@ fn flight_recorder_steady_state_allocates_nothing() {
         recorder.recorded(),
         ((WARMUP_CHUNKS + MEASURED_CHUNKS) * 3) as u64,
         "every event was journaled"
+    );
+}
+
+/// The classifier's line search runs a chirp-z transform per burst; its
+/// per-thread plans and scratch make feature estimation allocation-free
+/// once warm.
+#[test]
+fn feature_estimation_steady_state_allocates_nothing() {
+    use ctc_core::defense::Features;
+
+    let points: Vec<Complex> = (0..429)
+        .map(|i| Complex::cis(std::f64::consts::FRAC_PI_2 * (i % 4) as f64 + 0.01 * i as f64))
+        .collect();
+    let warm = Features::estimate(&points).unwrap();
+
+    let before = allocations();
+    for _ in 0..16 {
+        assert_eq!(Features::estimate(&points).unwrap(), warm);
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "steady-state feature estimation made {delta} allocations"
     );
 }
 
