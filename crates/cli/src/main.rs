@@ -86,9 +86,11 @@ COMMANDS
             [--max-burst N] [--max-streams N] [--shards N] [--stop-after N]
             [--metrics-addr HOST:PORT] [--trace-out FILE]
             Streaming detection gateway: JSONL frame events on stdout,
-            periodic stats on stderr. Exits 3 when a forgery was accepted;
-            other failures get distinct codes (bad address 4, bind/accept
-            5, session limit 6, sink 7, input 9, config 10).
+            periodic stats on stderr. --threshold defaults to the
+            calibrated Q = 0.25 (detect keeps the paper's 0.5). Exits 3
+            when a forgery was accepted; other failures get distinct
+            codes (bad address 4, bind/accept 5, session limit 6, sink 7,
+            input 9, config 10).
             --listen (tcp://host:port or unix:///path.sock) serves many
             concurrent streams, each a session with a `stream`-tagged
             event sequence and per-stream metrics; --max-streams caps
@@ -549,7 +551,12 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         // gateway always needs a timing search window.
         receiver = receiver.with_sync_search(96);
     }
-    let detector = detector_from(args)?;
+    let mut detector = detector_from(args)?;
+    if args.get("threshold").is_none() {
+        // Fail closed: the paper's Q = 0.5 passes forgeries whose DE² sits
+        // at 0.31–0.45 (Fig. 12), so the gateway ships the calibrated Q.
+        detector = detector.with_threshold(Detector::CALIBRATED_THRESHOLD);
+    }
     let mut builder = GatewayConfig::builder()
         .receiver(receiver)
         .detector(detector);

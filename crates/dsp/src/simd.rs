@@ -26,10 +26,11 @@
 //! bit-equal to the code they replaced; [`fft_stage`] reads its twiddles
 //! from a table that the FFT plan fills by the same serial recurrence.
 //! Kernels that re-associate a reduction into per-lane partial sums
-//! ([`cdot`], [`cdot_conj`], [`dot_real`], [`dot_f64`], [`sum_norm_sqr`],
-//! [`cumulant_sums`], [`fir_interior`]) or re-seed phasors block-wise
-//! ([`rotate_in_place`], [`cdot_conj_rotated`]) drift from the sequential
-//! order by `O(n · ulp)` — far inside every golden-vector stage tolerance.
+//! ([`cdot`], [`cdot_conj`], [`dot_real`], [`dot_f64`], [`dot_f64_rows`],
+//! [`sum_norm_sqr`], [`cumulant_sums`], [`fir_interior`]) or re-seed
+//! phasors block-wise ([`rotate_in_place`], [`cdot_conj_rotated`]) drift
+//! from the sequential order by `O(n · ulp)` — far inside every
+//! golden-vector stage tolerance.
 //! Property tests in `tests/simd_props.rs` pin each one against the
 //! order-preserving models in [`mod@reference`] within a ULP-scaled band, on
 //! random lengths including empty, single-sample, and non-lane-multiple
@@ -165,6 +166,17 @@ kernels! {
 
     /// Real dot product `Σ a[i]·b[i]` (DSSS chip correlation).
     fn dot_f64(a: &[f64], b: &[f64]) -> f64;
+
+    /// One [`dot_f64`] of `x` against each consecutive `x.len()`-long row
+    /// of `rows`, written to `out[r]`, for `r < out.len()` — a whole DSSS
+    /// correlation bank in one dispatch. Each row's arithmetic is
+    /// [`dot_f64`]'s, so every output is bit-identical to calling it row
+    /// by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` holds fewer than `out.len()` rows.
+    fn dot_f64_rows(x: &[f64], rows: &[f64], out: &mut [f64]);
 
     /// Sliding full-window FIR: `out[j] = Σ_i taps_rev[i]·x[j+i]` — the
     /// interior of a delay-compensated convolution, with `taps_rev` the
@@ -334,6 +346,15 @@ mod body {
             s += a[k] * b[k];
         }
         s
+    }
+
+    #[inline(always)]
+    pub fn dot_f64_rows(x: &[f64], rows: &[f64], out: &mut [f64]) {
+        let n = x.len();
+        assert!(rows.len() >= n * out.len(), "fewer rows than outputs");
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = dot_f64(x, &rows[r * n..(r + 1) * n]);
+        }
     }
 
     #[inline(always)]
@@ -591,6 +612,13 @@ pub mod reference {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
 
+    pub fn dot_f64_rows(x: &[f64], rows: &[f64], out: &mut [f64]) {
+        let n = x.len();
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = dot_f64(x, &rows[r * n..(r + 1) * n]);
+        }
+    }
+
     pub fn fir_interior(taps_rev: &[f64], x: &[Complex], out: &mut [Complex]) {
         let t = taps_rev.len();
         for (j, o) in out.iter_mut().enumerate() {
@@ -743,6 +771,11 @@ mod tests {
                 "f64 n={n}"
             );
             assert_eq!(sum_norm_sqr(&a), body::sum_norm_sqr(&a), "energy n={n}");
+            let rows = reals(3 * n, 5);
+            let (mut r1, mut r2) = ([0.0; 3], [0.0; 3]);
+            dot_f64_rows(&t, &rows, &mut r1);
+            body::dot_f64_rows(&t, &rows, &mut r2);
+            assert_eq!(r1, r2, "f64 rows n={n}");
 
             let mut x1 = a.clone();
             let mut x2 = a.clone();

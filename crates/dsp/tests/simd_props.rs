@@ -161,6 +161,29 @@ proptest! {
     }
 
     #[test]
+    fn dot_f64_rows_stays_in_band_and_matches_dot_f64(
+        n in 0usize..80,
+        rows in 0usize..20,
+        seed in 0u64..1000,
+    ) {
+        for len in EDGE_LENS.into_iter().chain([n]) {
+            let x = reals(len, seed);
+            let bank = reals(len * rows, seed ^ 0x7777);
+            let mut got = vec![0.0; rows];
+            let mut want = vec![0.0; rows];
+            simd::dot_f64_rows(&x, &bank, &mut got);
+            reference::dot_f64_rows(&x, &bank, &mut want);
+            for (r, (w, g)) in want.iter().zip(&got).enumerate() {
+                let row = &bank[r * len..(r + 1) * len];
+                let scale: f64 = x.iter().zip(row).map(|(a, b)| (a * b).abs()).sum();
+                assert_close(&format!("dot_f64_rows[{r}]"), len, scale, *w, *g);
+                // Row by row, the bank is exactly `dot_f64`.
+                prop_assert_eq!(g.to_bits(), simd::dot_f64(&x, row).to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn norm_sqr_into_is_bit_identical(n in 0usize..300, seed in 0u64..1000) {
         for len in EDGE_LENS.into_iter().chain([n]) {
             let x = wave(len, seed);

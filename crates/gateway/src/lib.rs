@@ -83,7 +83,6 @@ pub mod json;
 pub mod metrics;
 pub mod obs;
 pub mod pipeline;
-pub mod queue;
 pub mod server;
 pub mod session;
 pub mod source;
@@ -97,7 +96,6 @@ pub use metrics::{
     ServerMetricsCore, ServerMetricsSnapshot,
 };
 pub use pipeline::{default_workers, Gateway, GatewayConfig, GatewayConfigBuilder, GatewayReport};
-pub use queue::BoundedQueue;
 pub use server::{
     GatewayServer, NamedStream, PoolStats, ServerConfig, ServerReport, SessionSummary,
     ShutdownHandle,

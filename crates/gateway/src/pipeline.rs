@@ -60,7 +60,10 @@ impl Default for GatewayConfig {
             stats_interval: Some(Duration::from_secs(5)),
             energy: EnergyDetector::default(),
             receiver: Receiver::usrp().with_sync_search(96),
-            detector: Detector::new(ctc_core::defense::ChannelAssumption::Ideal),
+            // Fail closed: the calibrated threshold, not the paper's 0.5,
+            // which passes every forgery of the Fig. 12 sweep.
+            detector: Detector::new(ctc_core::defense::ChannelAssumption::Ideal)
+                .with_threshold(Detector::CALIBRATED_THRESHOLD),
             pipeline: None,
         }
     }

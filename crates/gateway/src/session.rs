@@ -8,10 +8,9 @@
 //! buffer pool, and (with the other sessions of their shard) a
 //! [`ShardQueue`].
 //!
-//! The shard queue is the multi-tenant version of
-//! [`BoundedQueue`](crate::queue::BoundedQueue): bounded, non-blocking
-//! push, drop-oldest under overload — but *which* oldest is governed by a
-//! per-session **drop budget**. A session pushing beyond its fair share
+//! The shard queue is bounded, with non-blocking push and drop-oldest
+//! under overload — but *which* oldest is governed by a per-session
+//! **drop budget**. A session pushing beyond its fair share
 //! of the shard (`capacity / active sessions`) sheds its own oldest
 //! burst; a session within budget sheds the most-loaded session's oldest
 //! instead. A chatty stream therefore pays for its own overload and a

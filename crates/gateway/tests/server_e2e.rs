@@ -48,6 +48,40 @@ fn config() -> GatewayConfig {
         .unwrap()
 }
 
+/// The shipped defaults must fail closed: every forged frame of a 30 dB
+/// probe has DE² below the paper's Q = 0.5, so a default-config gateway
+/// flags all of them only because it ships the calibrated threshold.
+#[test]
+fn default_config_flags_every_forgery() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let authentic = Transmitter::new().transmit_payload(b"00000").unwrap();
+    let emulator = Emulator::new();
+    let forged = emulator.received_at_zigbee(&emulator.emulate(&authentic));
+    let mut stream: Vec<Complex> = Vec::new();
+    for _ in 0..5 {
+        stream.extend((0..700).map(|_| complex_gaussian(&mut rng, 1e-3)));
+        stream.extend(forged.iter().map(|&v| v + complex_gaussian(&mut rng, 1e-3)));
+    }
+    stream.extend((0..700).map(|_| complex_gaussian(&mut rng, 1e-3)));
+    let mut bytes = Vec::new();
+    write_cf32(&mut bytes, &stream).unwrap();
+
+    let config = GatewayConfig::builder()
+        .stats_interval(None)
+        .build()
+        .unwrap();
+    assert_eq!(config.detector.threshold(), Detector::CALIBRATED_THRESHOLD);
+    let report = GatewayServer::new(ServerConfig::from(config))
+        .run_streams(
+            vec![NamedStream::new("probe", &bytes[..])],
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+    assert_eq!(report.metrics.frames_decoded, 5);
+    assert_eq!(report.metrics.forgeries, 5);
+}
+
 /// Extracts `"key":value` (raw JSON text) from a rendered line.
 fn field<'a>(line: &'a str, key: &str) -> &'a str {
     let pat = format!("\"{key}\":");

@@ -38,8 +38,6 @@
 //! - [`trace`] — lightweight structured tracing: span IDs allocated per
 //!   burst at ingest, per-stage durations recorded as JSONL records, so a
 //!   single frame's end-to-end path is reconstructable offline.
-//! - [`stage`] — [`Profiled`], a [`Stage`](ctc_dsp::Stage) combinator
-//!   that records per-call durations of any DSP stage into a registry.
 //!
 //! ```
 //! use ctc_obs::Registry;
@@ -66,7 +64,6 @@ pub mod process;
 pub mod registry;
 pub mod scrape;
 pub mod snapshot;
-pub mod stage;
 pub mod trace;
 
 pub use flight::{EventKind, FlightEvent, FlightRecorder};
@@ -76,5 +73,4 @@ pub use process::register_process_metrics;
 pub use registry::{Registry, ScopedRegistry};
 pub use scrape::{Scrape, ScrapeError, ScrapeSample, ScrapedHistogram};
 pub use snapshot::SnapshotBuilder;
-pub use stage::Profiled;
 pub use trace::{next_span_id, TraceSink};

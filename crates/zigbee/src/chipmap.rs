@@ -61,6 +61,50 @@ fn bipolar_table() -> &'static [[f64; CHIPS_PER_SYMBOL]; SYMBOL_COUNT] {
     })
 }
 
+/// The spreading table packed one row per word, chip `c` in bit `c`: the
+/// form hard-decision despreading consumes, where a Hamming distance is
+/// one XOR and one popcount.
+fn packed_table() -> &'static [u32; SYMBOL_COUNT] {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<[u32; SYMBOL_COUNT]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [0u32; SYMBOL_COUNT];
+        for (dst, src) in table.iter_mut().zip(chip_table().iter()) {
+            *dst = pack_chips(src);
+        }
+        table
+    })
+}
+
+/// Packs 32 hard chips into a word, chip `c` in bit `c`. Any nonzero chip
+/// counts as a 1.
+fn pack_chips(chips: &[u8; CHIPS_PER_SYMBOL]) -> u32 {
+    chips
+        .iter()
+        .enumerate()
+        .fold(0, |w, (c, &chip)| w | (u32::from(chip != 0) << c))
+}
+
+/// Packs the hard decisions of 32 soft chips into a word: chip `c` sets
+/// bit `c` when `soft_chips[c] >= 0.0` (the rule of
+/// [`ChipSamples::hard_chips`](crate::modem::ChipSamples::hard_chips), so
+/// NaN decides 0).
+///
+/// # Panics
+///
+/// Panics if `soft_chips.len() != 32`.
+pub(crate) fn pack_signs(soft_chips: &[f64]) -> u32 {
+    assert_eq!(
+        soft_chips.len(),
+        CHIPS_PER_SYMBOL,
+        "need exactly 32 soft chips"
+    );
+    soft_chips
+        .iter()
+        .enumerate()
+        .fold(0, |w, (c, &v)| w | (u32::from(v >= 0.0) << c))
+}
+
 /// Spreads one data symbol (0–15) into its 32-chip sequence.
 ///
 /// # Panics
@@ -89,16 +133,23 @@ pub fn hamming(a: &[u8; CHIPS_PER_SYMBOL], b: &[u8; CHIPS_PER_SYMBOL]) -> u32 {
 }
 
 /// Hard-decision despreading: returns the symbol whose chip sequence is
-/// nearest in Hamming distance, with the distance itself.
+/// nearest in Hamming distance, with the distance itself (the first symbol
+/// wins a tie). Any nonzero chip counts as a 1.
 ///
 /// The caller applies the correlation threshold ("a correlation threshold is
 /// defined to control the maximum Hamming distance ... the receiver can
 /// tolerate" — Sec. III-B1); sequences above it should be dropped.
 pub fn despread_hard(chips: &[u8; CHIPS_PER_SYMBOL]) -> (u8, u32) {
+    despread_word(pack_chips(chips))
+}
+
+/// [`despread_hard`] on chips already packed by [`pack_chips`] or
+/// [`pack_signs`]: one XOR and popcount per table row.
+pub(crate) fn despread_word(word: u32) -> (u8, u32) {
     let mut best_sym = 0u8;
     let mut best_d = u32::MAX;
-    for (s, row) in chip_table().iter().enumerate() {
-        let d = hamming(chips, row);
+    for (s, &row) in packed_table().iter().enumerate() {
+        let d = (word ^ row).count_ones();
         if d < best_d {
             best_d = d;
             best_sym = s as u8;
@@ -109,11 +160,13 @@ pub fn despread_hard(chips: &[u8; CHIPS_PER_SYMBOL]) -> (u8, u32) {
 
 /// Soft-decision despreading: correlates bipolar soft chip values against
 /// every row (`0 -> -1`, `1 -> +1`) and returns the symbol with the largest
-/// correlation plus the normalized score in `[-1, 1]`.
+/// correlation (the first symbol wins a tie) plus the normalized score in
+/// `[-1, 1]`.
 ///
 /// This models the stronger demodulator of commodity ZigBee silicon
 /// (CC26x2R1), which decodes reliably where hard-decision USRP pipelines
-/// fail (paper Fig. 14b).
+/// fail (paper Fig. 14b). All 16 correlations come from one
+/// [`dot_f64_rows`](ctc_dsp::simd::dot_f64_rows) call.
 ///
 /// # Panics
 ///
@@ -126,17 +179,56 @@ pub fn despread_soft(soft_chips: &[f64]) -> (u8, f64) {
     );
     let energy = ctc_dsp::simd::dot_f64(soft_chips, soft_chips);
     let norm = (energy * CHIPS_PER_SYMBOL as f64).sqrt();
+    let mut acc = [0.0; SYMBOL_COUNT];
+    ctc_dsp::simd::dot_f64_rows(soft_chips, bipolar_table().as_flattened(), &mut acc);
     let mut best_sym = 0u8;
     let mut best_score = f64::NEG_INFINITY;
-    for (s, row) in bipolar_table().iter().enumerate() {
-        let acc = ctc_dsp::simd::dot_f64(soft_chips, row);
-        if acc > best_score {
-            best_score = acc;
+    for (s, &a) in acc.iter().enumerate() {
+        if a > best_score {
+            best_score = a;
             best_sym = s as u8;
         }
     }
     let score = if norm > 0.0 { best_score / norm } else { 0.0 };
     (best_sym, score)
+}
+
+/// The direct despreaders the packed and banked forms replaced: a byte
+/// compare per chip, and one [`dot_f64`](ctc_dsp::simd::dot_f64) call per
+/// row. Test oracles only.
+#[cfg(test)]
+pub(crate) mod direct {
+    use super::{bipolar_table, chip_table, hamming, CHIPS_PER_SYMBOL};
+
+    pub fn despread_hard(chips: &[u8; CHIPS_PER_SYMBOL]) -> (u8, u32) {
+        let mut best_sym = 0u8;
+        let mut best_d = u32::MAX;
+        for (s, row) in chip_table().iter().enumerate() {
+            let d = hamming(chips, row);
+            if d < best_d {
+                best_d = d;
+                best_sym = s as u8;
+            }
+        }
+        (best_sym, best_d)
+    }
+
+    pub fn despread_soft(soft_chips: &[f64]) -> (u8, f64) {
+        assert_eq!(soft_chips.len(), CHIPS_PER_SYMBOL);
+        let energy = ctc_dsp::simd::dot_f64(soft_chips, soft_chips);
+        let norm = (energy * CHIPS_PER_SYMBOL as f64).sqrt();
+        let mut best_sym = 0u8;
+        let mut best_score = f64::NEG_INFINITY;
+        for (s, row) in bipolar_table().iter().enumerate() {
+            let acc = ctc_dsp::simd::dot_f64(soft_chips, row);
+            if acc > best_score {
+                best_score = acc;
+                best_sym = s as u8;
+            }
+        }
+        let score = if norm > 0.0 { best_score / norm } else { 0.0 };
+        (best_sym, score)
+    }
 }
 
 #[cfg(test)]
@@ -239,6 +331,71 @@ mod tests {
     fn soft_despread_zero_input() {
         let (_, score) = despread_soft(&[0.0; 32]);
         assert_eq!(score, 0.0);
+    }
+
+    /// A splitmix64 stream: seeded, uniform 64-bit words.
+    fn words(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed;
+        move || {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    fn unpack(word: u32) -> [u8; CHIPS_PER_SYMBOL] {
+        std::array::from_fn(|c| ((word >> c) & 1) as u8)
+    }
+
+    #[test]
+    fn packed_hard_despread_matches_direct_body() {
+        let mut next = words(1);
+        // Every table row, every row with one chip flipped, then random words.
+        let rows = packed_table().iter().copied();
+        let flipped = packed_table()
+            .iter()
+            .flat_map(|&r| (0..CHIPS_PER_SYMBOL).map(move |c| r ^ (1 << c)));
+        let random = (0..200_000).map(|_| next() as u32);
+        for word in rows.chain(flipped).chain(random).chain([0, u32::MAX]) {
+            let chips = unpack(word);
+            assert_eq!(pack_chips(&chips), word);
+            let want = direct::despread_hard(&chips);
+            assert_eq!(despread_word(word), want, "word {word:#010x}");
+            assert_eq!(despread_hard(&chips), want, "word {word:#010x}");
+        }
+    }
+
+    #[test]
+    fn banked_soft_despread_matches_direct_body() {
+        let mut next = words(2);
+        for k in 0..20_000 {
+            let word = next() as u32;
+            // Bipolar chips of a random word, scaled and perturbed, with
+            // signed zeros, exact ties and non-finite values mixed in.
+            let soft: Vec<f64> = (0..CHIPS_PER_SYMBOL)
+                .map(|c| {
+                    let sign = if (word >> c) & 1 == 1 { 1.0 } else { -1.0 };
+                    let noise = (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    match (k % 7, c) {
+                        (0, _) => sign,
+                        (1, 3) => -0.0,
+                        (2, 5) => f64::NAN,
+                        (3, 9) => f64::INFINITY,
+                        (4, _) => (sign + 2.0 * noise) * 1e-160,
+                        (5, _) => (sign + 2.0 * noise) * 1e150,
+                        _ => sign + 2.0 * noise,
+                    }
+                })
+                .collect();
+            let (got_sym, got_score) = despread_soft(&soft);
+            let (want_sym, want_score) = direct::despread_soft(&soft);
+            assert_eq!(got_sym, want_sym, "case {k}");
+            assert_eq!(got_score.to_bits(), want_score.to_bits(), "case {k}");
+            let hard: [u8; CHIPS_PER_SYMBOL] = std::array::from_fn(|c| u8::from(soft[c] >= 0.0));
+            assert_eq!(pack_signs(&soft), pack_chips(&hard), "case {k}");
+        }
     }
 
     proptest! {

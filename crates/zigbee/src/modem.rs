@@ -156,14 +156,17 @@ impl ChipSamples {
 /// Panics if `num_chips` is odd.
 pub fn demodulate_chips(wave: &[Complex], num_chips: usize) -> ChipSamples {
     assert!(num_chips.is_multiple_of(2), "chip count must be even");
-    let pairs = num_chips / 2;
-    let mut out = ChipSamples::default();
+    // Pair `n` reads up to sample `2·SAMPLES_PER_CHIP·(n + 1)`, so the
+    // waveform holds `(len - 1) / (2·SAMPLES_PER_CHIP)` whole pairs.
+    let pairs = (num_chips / 2).min(wave.len().saturating_sub(1) / (2 * SAMPLES_PER_CHIP));
+    let mut out = ChipSamples {
+        i_samples: Vec::with_capacity(pairs),
+        q_samples: Vec::with_capacity(pairs),
+        midpoints: Vec::with_capacity(pairs),
+    };
     for n in 0..pairs {
         let i_idx = n * 2 * SAMPLES_PER_CHIP + SAMPLES_PER_CHIP; // pulse centre
         let q_idx = i_idx + SAMPLES_PER_CHIP;
-        if q_idx >= wave.len() {
-            break;
-        }
         out.i_samples.push(wave[i_idx].re);
         out.q_samples.push(wave[q_idx].im);
         // Midway between the two centres both half-sine pulses read

@@ -8,11 +8,39 @@
 //! - [`Decision::Soft`] — correlation of soft chip values against all 16
 //!   sequences (the "stronger demodulation functions" of commodity
 //!   CC26x2R1 silicon, Fig. 14b).
+//!
+//! The timing search ranks every candidate offset by its normalized
+//! preamble correlation. One FFT cross-correlation screens all offsets at
+//! once; only the offsets the screen cannot rule out, given its error
+//! bound, are rescored with the exact direct correlation, so the result is
+//! the one a direct search over every offset returns.
 
-use crate::chipmap::{despread_hard, despread_soft, spread, CHIPS_PER_SYMBOL};
+use crate::chipmap::{despread_soft, despread_word, pack_signs, spread, CHIPS_PER_SYMBOL};
 use crate::frame::{parse_frame_symbols, Frame, FrameError};
 use crate::modem::{demodulate_chips, modulate_chips, ChipSamples, SAMPLES_PER_CHIP};
-use ctc_dsp::{simd, Complex};
+use ctc_dsp::{fft, simd, Complex};
+use std::cell::RefCell;
+use std::sync::OnceLock;
+
+/// FFT length of the timing screen: one transform covers the two-symbol
+/// template plus `SCREEN_LEN - 128` further offsets.
+const SCREEN_LEN: usize = 256;
+
+/// Error bound the screen assumes for its correlations and window energies,
+/// as a fraction of the searched region's scale (`sqrt(E·E_t)` and `E`).
+/// The rounding of two 256-point transforms with recurrence twiddles is
+/// bounded near 1e-11 of that scale; over 20,000 seeded bursts and noise
+/// windows it stayed below 4e-15 (correlations) and 1.4e-15 (energies).
+const SCREEN_MARGIN: f64 = 1e-9;
+
+/// Window energy below which the screen bounds nothing: such windows are
+/// always rescored, so the screen never reasons about subnormal sums.
+const SCREEN_ENERGY_FLOOR: f64 = 1e-200;
+
+thread_local! {
+    /// Per-offset upper bounds on the exact score, reused across calls.
+    static SCREEN_BOUNDS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Despreading strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,11 +93,7 @@ pub struct Reception {
     pub dropped: Vec<bool>,
     /// Raw chip samples before any correction.
     pub raw_chip_samples: ChipSamples,
-    /// Chip samples after CFO correction but before phase correction — what
-    /// the defense taps: clock recovery has removed the frequency drift, but
-    /// the channel's static phase rotation is still visible (Fig. 6b).
-    pub defense_chip_samples: ChipSamples,
-    /// Chip samples after phase/CFO correction — what despreading used.
+    /// Chip samples after CFO and phase correction — what despreading used.
     pub chip_samples: ChipSamples,
     /// Frame parse over the despread symbols.
     pub frame: Result<Frame, FrameError>,
@@ -192,13 +216,13 @@ impl Receiver {
     /// runs synchronization, so rebuilding the template per call would put a
     /// fixed waveform synthesis on the hot path.
     fn preamble_template() -> &'static [Complex] {
-        static TEMPLATE: std::sync::OnceLock<Vec<Complex>> = std::sync::OnceLock::new();
+        static TEMPLATE: OnceLock<Vec<Complex>> = OnceLock::new();
         TEMPLATE.get_or_init(|| modulate_chips(&spread(0)))
     }
 
     /// Two preamble symbols back to back — the timing-search template.
     fn sync_template() -> &'static [Complex] {
-        static TEMPLATE: std::sync::OnceLock<Vec<Complex>> = std::sync::OnceLock::new();
+        static TEMPLATE: OnceLock<Vec<Complex>> = OnceLock::new();
         TEMPLATE.get_or_init(|| {
             let one = Self::preamble_template();
             let sym_len = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP;
@@ -207,6 +231,120 @@ impl Receiver {
             template.extend_from_slice(&one[..sym_len]);
             template
         })
+    }
+
+    /// `FFT(template) / SCREEN_LEN`, the template zero-padded to the
+    /// screen length: the timing screen's filter.
+    fn sync_template_spectrum() -> &'static [Complex] {
+        static SPECTRUM: OnceLock<Vec<Complex>> = OnceLock::new();
+        SPECTRUM.get_or_init(|| {
+            let mut spectrum = Self::sync_template().to_vec();
+            spectrum.resize(SCREEN_LEN, Complex::ZERO);
+            fft::fft_in_place(&mut spectrum).expect("power-of-two screen length");
+            for v in &mut spectrum {
+                *v /= SCREEN_LEN as f64;
+            }
+            spectrum
+        })
+    }
+
+    /// Exact normalized template correlation at `off` — the score the
+    /// timing search ranks by — and the raw correlation.
+    fn score_at(
+        wave: &[Complex],
+        template: &[Complex],
+        t_energy: f64,
+        off: usize,
+    ) -> (f64, Complex) {
+        let seg = &wave[off..off + template.len()];
+        let corr = simd::cdot_conj(seg, template);
+        let r_energy = simd::sum_norm_sqr(seg);
+        let score = if r_energy > 0.0 {
+            corr.norm_sqr() / (r_energy * t_energy)
+        } else {
+            0.0
+        };
+        (score, corr)
+    }
+
+    /// Screens the offsets `0..=search` of `wave` (at least
+    /// `search + template.len()` samples long). Writes into `upper[off]` a
+    /// bound the exact [`Self::score_at`] at `off` cannot exceed, and
+    /// returns the largest of the matching lower bounds: the best exact
+    /// score reaches it, so no offset whose upper bound falls below it can
+    /// be the best.
+    ///
+    /// Returns `None` when the screen cannot rule out any offset: non-finite
+    /// or overflowing input, or a region whose whole energy is under the
+    /// floor (silence), which it gives up on before any transform.
+    ///
+    /// The correlations of up to `SCREEN_LEN - 127` offsets come from one
+    /// block of `SCREEN_LEN` samples: `conj(corr) = FFT(conj(FFT(block)) ·
+    /// FFT(template) / SCREEN_LEN)`, no wrap-around because the block holds
+    /// every sample those offsets touch. Window energies are a running sum.
+    fn screen(
+        wave: &[Complex],
+        template: &[Complex],
+        t_energy: f64,
+        search: usize,
+        upper: &mut Vec<f64>,
+    ) -> Option<f64> {
+        let t_len = template.len();
+        let region = &wave[..search + t_len];
+        let total = simd::sum_norm_sqr(region);
+        if !(total * t_energy).is_finite() || total <= SCREEN_ENERGY_FLOOR {
+            return None;
+        }
+        // Both error bounds scale with the region: the FFT's rounding with
+        // the block norms, the running sum's with the largest window.
+        let corr_err = SCREEN_MARGIN * (total * t_energy).sqrt();
+        let energy_err = SCREEN_MARGIN * total + SCREEN_ENERGY_FLOOR;
+
+        let spectrum = Self::sync_template_spectrum();
+        let mut energy = simd::sum_norm_sqr(&region[..t_len]);
+        let mut best_lower = 0.0f64;
+        upper.clear();
+        let mut buf = [Complex::ZERO; SCREEN_LEN];
+        let per_block = SCREEN_LEN - t_len + 1;
+        let mut base = 0;
+        while base <= search {
+            let block = &region[base..(base + SCREEN_LEN).min(region.len())];
+            buf[..block.len()].copy_from_slice(block);
+            buf[block.len()..].fill(Complex::ZERO);
+            fft::fft_in_place(&mut buf).expect("power-of-two screen length");
+            for (b, t) in buf.iter_mut().zip(spectrum) {
+                *b = b.conj() * *t;
+            }
+            fft::fft_in_place(&mut buf).expect("power-of-two screen length");
+            for (k, c) in buf[..per_block.min(search + 1 - base)].iter().enumerate() {
+                let off = base + k;
+                if off > 0 {
+                    energy += region[off + t_len - 1].norm_sqr() - region[off - 1].norm_sqr();
+                }
+                // `sqrt(norm_sqr)`, not the slower `hypot`: any extra
+                // rounding is far inside `corr_err`.
+                let corr = c.norm_sqr().sqrt();
+                let hi = corr + corr_err;
+                let lo = (corr - corr_err).max(0.0);
+                let (u, l) = if energy > energy_err {
+                    (
+                        hi * hi / ((energy - energy_err) * t_energy),
+                        lo * lo / ((energy + energy_err) * t_energy),
+                    )
+                } else {
+                    (f64::INFINITY, 0.0)
+                };
+                // An infinite upper bound only keeps the offset in play; a
+                // lower bound must be a number to rule others out.
+                if u.is_nan() || !l.is_finite() {
+                    return None;
+                }
+                upper.push(u);
+                best_lower = best_lower.max(l);
+            }
+            base += per_block;
+        }
+        Some(best_lower)
     }
 
     /// Correlates the known preamble against the waveform to estimate
@@ -231,24 +369,29 @@ impl Receiver {
         let search = self
             .sync_search
             .min(wave.len().saturating_sub(template.len()));
+        // Rescore every offset the screen leaves in play with the exact
+        // score, first strict maximum winning: the offset and correlation a
+        // search over all offsets picks, since the best offset's upper
+        // bound is never below another offset's lower bound.
         let mut best_off = 0usize;
         let mut best_corr = Complex::ZERO;
         let mut best_score = f64::NEG_INFINITY;
-        for off in 0..=search {
-            let seg = &wave[off..off + template.len()];
-            let corr = simd::cdot_conj(seg, template);
-            let r_energy = simd::sum_norm_sqr(seg);
-            let score = if r_energy > 0.0 {
-                corr.norm_sqr() / (r_energy * t_energy)
+        SCREEN_BOUNDS.with_borrow_mut(|upper| {
+            let screened = if search > 0 {
+                Self::screen(wave, template, t_energy, search, upper)
             } else {
-                0.0
+                None
             };
-            if score > best_score {
-                best_score = score;
-                best_off = off;
-                best_corr = corr;
+            let in_play = |off: usize| screened.is_none_or(|floor| upper[off] >= floor);
+            for off in (0..=search).filter(|&off| in_play(off)) {
+                let (score, corr) = Self::score_at(wave, template, t_energy, off);
+                if score > best_score {
+                    best_score = score;
+                    best_off = off;
+                    best_corr = corr;
+                }
             }
-        }
+        });
 
         // CFO by delay-and-correlate over the preamble: consecutive preamble
         // symbols carry identical chips, so the waveform is 64-sample
@@ -289,39 +432,43 @@ impl Receiver {
         }
     }
 
+    /// Sub-sample refinement: the fractional advance (a multiple of 1/8
+    /// sample) that maximizes the preamble correlation of the aligned
+    /// waveform, or 0 when fractional timing is off.
+    fn fractional_offset(&self, aligned: &[Complex]) -> f64 {
+        if !self.fractional_timing || aligned.is_empty() {
+            return 0.0;
+        }
+        let one = Self::preamble_template();
+        let sym_len = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP;
+        let template = &one[..sym_len.min(one.len())];
+        let mut best_mu = 0.0f64;
+        let mut best = f64::NEG_INFINITY;
+        for k in 0..8 {
+            let mu = k as f64 / 8.0;
+            let candidate = if mu == 0.0 {
+                aligned.to_vec()
+            } else {
+                ctc_dsp::fractional::fractional_advance(aligned, mu)
+            };
+            if candidate.len() < template.len() {
+                break;
+            }
+            let corr = simd::cdot_conj(&candidate[..template.len()], template);
+            if corr.norm() > best {
+                best = corr.norm();
+                best_mu = mu;
+            }
+        }
+        best_mu
+    }
+
     /// Processes a received baseband waveform (4 MHz, frame starting within
     /// the configured search window) into a [`Reception`].
     pub fn receive(&self, wave: &[Complex]) -> Reception {
         let sync = self.synchronize(wave);
         let aligned_slice = &wave[sync.offset.min(wave.len())..];
-        // Sub-sample refinement: advance by the fractional offset that
-        // maximizes preamble correlation.
-        let fractional = if self.fractional_timing && !aligned_slice.is_empty() {
-            let one = Self::preamble_template();
-            let sym_len = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP;
-            let template = &one[..sym_len.min(one.len())];
-            let mut best_mu = 0.0f64;
-            let mut best = f64::NEG_INFINITY;
-            for k in 0..8 {
-                let mu = k as f64 / 8.0;
-                let candidate = if mu == 0.0 {
-                    aligned_slice.to_vec()
-                } else {
-                    ctc_dsp::fractional::fractional_advance(aligned_slice, mu)
-                };
-                if candidate.len() < template.len() {
-                    break;
-                }
-                let corr = simd::cdot_conj(&candidate[..template.len()], template);
-                if corr.norm() > best {
-                    best = corr.norm();
-                    best_mu = mu;
-                }
-            }
-            best_mu
-        } else {
-            0.0
-        };
+        let fractional = self.fractional_offset(aligned_slice);
         let refined;
         let aligned: &[Complex] = if fractional > 0.0 {
             refined = ctc_dsp::fractional::fractional_advance(aligned_slice, fractional);
@@ -330,36 +477,31 @@ impl Receiver {
             aligned_slice
         };
 
-        // CFO-corrected copy (clock recovery), then the fully corrected copy
-        // for decoding.
-        let mut cfo_corrected = aligned.to_vec();
+        // The decoding copy: CFO removed (clock recovery), then the
+        // preamble phase.
+        let mut corrected = aligned.to_vec();
         if self.correct_cfo {
-            simd::rotate_in_place(&mut cfo_corrected, -sync.cfo_per_sample);
+            simd::rotate_in_place(&mut corrected, -sync.cfo_per_sample);
         }
-        let mut corrected = cfo_corrected.clone();
         if self.correct_phase {
             ctc_dsp::filter::phase_rotate_in_place(&mut corrected, -sync.phase);
         }
 
         let num_chips = (aligned.len() / SAMPLES_PER_CHIP) & !1usize;
         let raw_chip_samples = demodulate_chips(aligned, num_chips);
-        let defense_chip_samples = demodulate_chips(&cfo_corrected, num_chips);
         let chip_samples = demodulate_chips(&corrected, num_chips);
 
-        // Despread 32-chip groups.
+        // Despread 32-chip groups; the hard decisions are the soft chips'
+        // signs, packed one group per word.
         let soft = chip_samples.interleaved();
-        let hard = chip_samples.hard_chips();
-        let mut symbols = Vec::new();
-        let mut hamming_distances = Vec::new();
-        let mut soft_scores = Vec::new();
-        let mut dropped = Vec::new();
-        for group in 0..(hard.len() / CHIPS_PER_SYMBOL) {
-            let lo = group * CHIPS_PER_SYMBOL;
-            let hi = lo + CHIPS_PER_SYMBOL;
-            let mut chips = [0u8; CHIPS_PER_SYMBOL];
-            chips.copy_from_slice(&hard[lo..hi]);
-            let (hard_sym, dist) = despread_hard(&chips);
-            let (soft_sym, score) = despread_soft(&soft[lo..hi]);
+        let groups = soft.len() / CHIPS_PER_SYMBOL;
+        let mut symbols = Vec::with_capacity(groups);
+        let mut hamming_distances = Vec::with_capacity(groups);
+        let mut soft_scores = Vec::with_capacity(groups);
+        let mut dropped = Vec::with_capacity(groups);
+        for chips in soft.chunks_exact(CHIPS_PER_SYMBOL) {
+            let (hard_sym, dist) = despread_word(pack_signs(chips));
+            let (soft_sym, score) = despread_soft(chips);
             match self.decision {
                 Decision::Hard { threshold } => {
                     symbols.push(hard_sym);
@@ -381,7 +523,140 @@ impl Receiver {
             soft_scores,
             dropped,
             raw_chip_samples,
-            defense_chip_samples,
+            chip_samples,
+            frame,
+            sync,
+        }
+    }
+}
+
+/// The direct decode the screened search and one-pass despreading
+/// replaced: every offset scored exactly, CFO-only and fully corrected
+/// copies, byte-per-chip hard decisions and one correlation call per
+/// chip sequence. The test oracle `receive` must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::chipmap::direct;
+
+    pub fn synchronize(rx: &Receiver, wave: &[Complex]) -> SyncResult {
+        let template = Receiver::sync_template();
+        let sym_len = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP;
+        if wave.len() < template.len() {
+            return SyncResult {
+                offset: 0,
+                phase: 0.0,
+                cfo_per_sample: 0.0,
+                peak_correlation: 0.0,
+            };
+        }
+        let t_energy = simd::sum_norm_sqr(template);
+        let search = rx
+            .sync_search
+            .min(wave.len().saturating_sub(template.len()));
+        let mut best_off = 0usize;
+        let mut best_corr = Complex::ZERO;
+        let mut best_score = f64::NEG_INFINITY;
+        for off in 0..=search {
+            let seg = &wave[off..off + template.len()];
+            let corr = simd::cdot_conj(seg, template);
+            let r_energy = simd::sum_norm_sqr(seg);
+            let score = if r_energy > 0.0 {
+                corr.norm_sqr() / (r_energy * t_energy)
+            } else {
+                0.0
+            };
+            if score > best_score {
+                best_score = score;
+                best_off = off;
+                best_corr = corr;
+            }
+        }
+        let mut cfo = 0.0;
+        if rx.correct_cfo {
+            let span = (6 * sym_len).min(wave.len().saturating_sub(best_off));
+            if span > sym_len + 32 {
+                let seg = &wave[best_off..best_off + span];
+                let acc = simd::cdot_conj(&seg[sym_len..], &seg[..span - sym_len]);
+                if acc.norm() > 0.0 {
+                    cfo = acc.arg() / sym_len as f64;
+                }
+            }
+        }
+        let phase = if rx.correct_phase {
+            let seg_end = (best_off + template.len()).min(wave.len());
+            let corr = simd::cdot_conj_rotated(&wave[best_off..seg_end], template, -cfo);
+            if corr.norm() > 0.0 {
+                corr.arg()
+            } else {
+                best_corr.arg()
+            }
+        } else {
+            best_corr.arg()
+        };
+        SyncResult {
+            offset: best_off,
+            phase,
+            cfo_per_sample: cfo,
+            peak_correlation: best_score.max(0.0).sqrt(),
+        }
+    }
+
+    pub fn receive(rx: &Receiver, wave: &[Complex]) -> Reception {
+        let sync = synchronize(rx, wave);
+        let aligned_slice = &wave[sync.offset.min(wave.len())..];
+        let fractional = rx.fractional_offset(aligned_slice);
+        let refined;
+        let aligned: &[Complex] = if fractional > 0.0 {
+            refined = ctc_dsp::fractional::fractional_advance(aligned_slice, fractional);
+            &refined
+        } else {
+            aligned_slice
+        };
+        let mut cfo_corrected = aligned.to_vec();
+        if rx.correct_cfo {
+            simd::rotate_in_place(&mut cfo_corrected, -sync.cfo_per_sample);
+        }
+        let mut corrected = cfo_corrected.clone();
+        if rx.correct_phase {
+            ctc_dsp::filter::phase_rotate_in_place(&mut corrected, -sync.phase);
+        }
+        let num_chips = (aligned.len() / SAMPLES_PER_CHIP) & !1usize;
+        let raw_chip_samples = demodulate_chips(aligned, num_chips);
+        let chip_samples = demodulate_chips(&corrected, num_chips);
+        let soft = chip_samples.interleaved();
+        let hard = chip_samples.hard_chips();
+        let mut symbols = Vec::new();
+        let mut hamming_distances = Vec::new();
+        let mut soft_scores = Vec::new();
+        let mut dropped = Vec::new();
+        for group in 0..(hard.len() / CHIPS_PER_SYMBOL) {
+            let lo = group * CHIPS_PER_SYMBOL;
+            let hi = lo + CHIPS_PER_SYMBOL;
+            let mut chips = [0u8; CHIPS_PER_SYMBOL];
+            chips.copy_from_slice(&hard[lo..hi]);
+            let (hard_sym, dist) = direct::despread_hard(&chips);
+            let (soft_sym, score) = direct::despread_soft(&soft[lo..hi]);
+            match rx.decision {
+                Decision::Hard { threshold } => {
+                    symbols.push(hard_sym);
+                    dropped.push(dist > threshold);
+                }
+                Decision::Soft { min_score } => {
+                    symbols.push(soft_sym);
+                    dropped.push(score < min_score);
+                }
+            }
+            hamming_distances.push(dist);
+            soft_scores.push(score);
+        }
+        let frame = parse_frame_symbols(&symbols);
+        Reception {
+            symbols,
+            hamming_distances,
+            soft_scores,
+            dropped,
+            raw_chip_samples,
             chip_samples,
             frame,
             sync,
@@ -574,6 +849,187 @@ mod tests {
             let delayed = ctc_dsp::fractional::fractional_delay(&wave, mu);
             let r = rx.receive(&delayed);
             assert_eq!(r.payload(), Some(&b"mu"[..]), "failed at mu = {mu}");
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn chip_bits(c: &ChipSamples) -> (Vec<u64>, Vec<u64>, Vec<(u64, u64)>) {
+        (
+            bits(&c.i_samples),
+            bits(&c.q_samples),
+            c.midpoints
+                .iter()
+                .map(|m| (m.re.to_bits(), m.im.to_bits()))
+                .collect(),
+        )
+    }
+
+    /// Asserts every field of two receptions is bit-identical.
+    fn assert_identical(got: &Reception, want: &Reception, case: &str) {
+        let sync = |s: &SyncResult| {
+            (
+                s.offset,
+                s.phase.to_bits(),
+                s.cfo_per_sample.to_bits(),
+                s.peak_correlation.to_bits(),
+            )
+        };
+        assert_eq!(sync(&got.sync), sync(&want.sync), "sync, {case}");
+        assert_eq!(got.symbols, want.symbols, "symbols, {case}");
+        assert_eq!(
+            got.hamming_distances, want.hamming_distances,
+            "hamming, {case}"
+        );
+        assert_eq!(
+            bits(&got.soft_scores),
+            bits(&want.soft_scores),
+            "soft scores, {case}"
+        );
+        assert_eq!(got.dropped, want.dropped, "dropped, {case}");
+        assert_eq!(
+            chip_bits(&got.raw_chip_samples),
+            chip_bits(&want.raw_chip_samples),
+            "raw chips, {case}"
+        );
+        assert_eq!(
+            chip_bits(&got.chip_samples),
+            chip_bits(&want.chip_samples),
+            "chips, {case}"
+        );
+        assert_eq!(got.frame, want.frame, "frame, {case}");
+    }
+
+    /// One seeded input of class `class`: noisy and noiseless frames with
+    /// random CFO, phase and lead, extreme scalings, NaN/Inf samples,
+    /// truncations (around the 128-sample template length too), noise and
+    /// silence.
+    fn oracle_case(class: usize, rng: &mut StdRng, frames: &[Vec<Complex>]) -> Vec<Complex> {
+        use rand::Rng;
+        let frame = &frames[rng.gen_range(0..frames.len())];
+        let lead = rng.gen_range(0..320usize);
+        let lead_power = [0.0, 1e-6, 1e-3, 1e-1][rng.gen_range(0..4usize)];
+        let mut wave: Vec<Complex> = (0..lead)
+            .map(|_| ctc_channel::noise::complex_gaussian(rng, lead_power))
+            .collect();
+        let cfo = rng.gen_range(-3000.0..3000.0);
+        let phase = rng.gen_range(-3.2..3.2);
+        wave.extend(ctc_channel::impairments::apply_cfo(
+            frame, cfo, 4.0e6, phase,
+        ));
+        let snr = rng.gen_range(0.0..30.0);
+        match class {
+            0 => Link::awgn(snr).transmit(&wave, rng),
+            1 => wave,
+            2 => wave.iter().map(|&v| v * 1e150).collect(),
+            3 => {
+                let scale = [1e-150, 1e-155, 1e-158, 1e-160, 1e-162][rng.gen_range(0..5usize)];
+                let w = Link::awgn(snr).transmit(&wave, rng);
+                w.iter().map(|&v| v * scale).collect()
+            }
+            4 => {
+                let mut w = Link::awgn(snr).transmit(&wave, rng);
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                let at = rng.gen_range(0..w.len().min(lead + 400));
+                w[at] = Complex::new(bad, 0.0);
+                w
+            }
+            5 => {
+                let w = Link::awgn(snr).transmit(&wave, rng);
+                let len = [0, 1, 127, 128, 129, 200, 255, 256, 300, 500][rng.gen_range(0..10usize)];
+                w[..len.min(w.len())].to_vec()
+            }
+            6 => {
+                let w = Link::awgn(snr).transmit(&wave, rng);
+                let len = rng.gen_range(0..w.len());
+                w[..len].to_vec()
+            }
+            7 => (0..rng.gen_range(0..1500usize))
+                .map(|_| ctc_channel::noise::complex_gaussian(rng, 1.0))
+                .collect(),
+            _ => vec![Complex::ZERO; [0, 64, 127, 128, 129, 400, 1200][rng.gen_range(0..7usize)]],
+        }
+    }
+
+    /// The screened search and one-pass despreading must reproduce the
+    /// direct decode bit for bit, on every field, for every input class
+    /// and receiver configuration.
+    #[test]
+    fn receive_is_bit_identical_to_direct_oracle() {
+        use rand::Rng;
+        let tx = Transmitter::new();
+        let frames: Vec<Vec<Complex>> = [&b"0"[..], b"00042", b"hello zigbee"]
+            .iter()
+            .map(|p| tx.transmit_payload(p).unwrap())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut cases = 0;
+        for round in 0..30 {
+            for class in 0..9 {
+                let wave = oracle_case(class, &mut rng, &frames);
+                for search in [0, 96, 160, 300] {
+                    let decision = if rng.gen_bool(0.5) {
+                        Decision::Hard { threshold: 10 }
+                    } else {
+                        Decision::Soft { min_score: 0.25 }
+                    };
+                    let rx = Receiver::new()
+                        .with_decision(decision)
+                        .with_sync_search(search)
+                        .with_phase_correction(rng.gen_bool(0.8))
+                        .with_cfo_correction(rng.gen_bool(0.8))
+                        .with_fractional_timing(rng.gen_bool(0.1));
+                    let case = format!("round {round} class {class} search {search} {rx:?}");
+                    assert_identical(&rx.receive(&wave), &oracle::receive(&rx, &wave), &case);
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 30 * 9 * 4);
+    }
+
+    /// Noiseless preambles are 64-sample periodic, so offsets a symbol
+    /// apart tie to within rounding: the first exact maximum must still win.
+    #[test]
+    fn periodic_preamble_near_ties_keep_the_first_offset() {
+        let wave = Transmitter::new().transmit_payload(b"tie").unwrap();
+        for lead in [0usize, 1, 63, 64, 65, 128, 200] {
+            let mut w = vec![Complex::ZERO; lead];
+            w.extend_from_slice(&wave);
+            for search in [96, 160, 300] {
+                let rx = Receiver::usrp().with_sync_search(search);
+                let got = rx.receive(&w);
+                assert_identical(&got, &oracle::receive(&rx, &w), &format!("lead {lead}"));
+                if lead <= search {
+                    assert_eq!(got.sync.offset, lead, "lead {lead} search {search}");
+                }
+            }
+        }
+    }
+
+    /// A `period`-periodic wave repeats its windows exactly, so offsets a
+    /// period apart tie bit for bit (a constant wave ties everywhere). The
+    /// screen ranks them only to rounding; its margin must keep every tied
+    /// offset in play so the exact rescoring picks the first.
+    #[test]
+    fn exact_ties_keep_the_first_offset() {
+        let mut rng = StdRng::seed_from_u64(45);
+        for period in [1usize, 2, 7, 64, 100] {
+            for scale in [1.0, 1e-3, 1e100] {
+                let block: Vec<Complex> = (0..period)
+                    .map(|_| ctc_channel::noise::complex_gaussian(&mut rng, scale))
+                    .collect();
+                let wave: Vec<Complex> = (0..700).map(|n| block[n % period]).collect();
+                for search in [96, 160, 300] {
+                    let rx = Receiver::usrp().with_sync_search(search);
+                    let got = rx.receive(&wave);
+                    let case = format!("period {period} scale {scale} search {search}");
+                    assert_identical(&got, &oracle::receive(&rx, &wave), &case);
+                    assert!(got.sync.offset < period, "{case}");
+                }
+            }
         }
     }
 
