@@ -49,7 +49,9 @@ fn bench_feature_extraction(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end: receive one frame and run the detector.
+/// End-to-end: receive one frame and run the detector, under each channel
+/// assumption (`Ideal`, the gateway default, reads the cumulants alone;
+/// `Real` adds the spectral-line search).
 fn bench_detect_frame(c: &mut Criterion) {
     let wave = Transmitter::new()
         .transmit_payload(b"00000")
@@ -57,6 +59,8 @@ fn bench_detect_frame(c: &mut Criterion) {
     let rx = Receiver::usrp();
     let reception = rx.receive(&wave);
     let detector = Detector::new(ChannelAssumption::Real);
+    let ideal =
+        Detector::new(ChannelAssumption::Ideal).with_threshold(Detector::CALIBRATED_THRESHOLD);
     let mut group = c.benchmark_group("detector");
     group.sample_size(30);
     group.bench_function("receive_frame", |b| {
@@ -68,6 +72,13 @@ fn bench_detect_frame(c: &mut Criterion) {
     group.bench_function("detect", |b| {
         b.iter(|| {
             detector
+                .detect(std::hint::black_box(&reception))
+                .expect("samples")
+        })
+    });
+    group.bench_function("detect_ideal", |b| {
+        b.iter(|| {
+            ideal
                 .detect(std::hint::black_box(&reception))
                 .expect("samples")
         })

@@ -4,6 +4,7 @@ use ctc_core::attack::Emulator;
 use ctc_core::attack::EnergyDetector;
 use ctc_core::defense::features::{constellation_from_reception, Features};
 use ctc_core::defense::stream::BurstSplitter;
+use ctc_core::defense::{ChannelAssumption, Detector};
 use ctc_dsp::Complex;
 use ctc_zigbee::{Receiver, Transmitter};
 use rand::rngs::StdRng;
@@ -69,7 +70,24 @@ fn main() {
     let t_nosearch = t0.elapsed();
     println!("decode w/o timing search: {:?} total", t_nosearch);
 
-    // Classify.
+    // Classify, as the gateway does by default: the Ideal detector at the
+    // calibrated threshold, which reads the cumulants alone.
+    let detector =
+        Detector::new(ChannelAssumption::Ideal).with_threshold(Detector::CALIBRATED_THRESHOLD);
+    let t0 = Instant::now();
+    let mut attacks = 0usize;
+    for r in &receptions {
+        attacks += detector.detect(r).is_ok_and(|v| v.is_attack) as usize;
+    }
+    let t_classify = t0.elapsed();
+    println!(
+        "classify: {:?} total, {:?}/frame ({attacks} attacks)",
+        t_classify,
+        t_classify / receptions.len() as u32
+    );
+
+    // Full features with the |C40| line search (the Real detector and the
+    // feature ensemble).
     let t0 = Instant::now();
     let mut acc = 0.0;
     for r in &receptions {
@@ -77,11 +95,11 @@ fn main() {
         let f = Features::estimate(&pts).unwrap();
         acc += f.c40_magnitude;
     }
-    let t_classify = t0.elapsed();
+    let t_features = t0.elapsed();
     println!(
-        "classify: {:?} total, {:?}/frame (acc {acc:.3})",
-        t_classify,
-        t_classify / receptions.len() as u32
+        "full features: {:?} total, {:?}/frame (acc {acc:.3})",
+        t_features,
+        t_features / receptions.len() as u32
     );
     let pts = constellation_from_reception(&receptions[0]);
     println!("constellation points/frame: {}", pts.len());

@@ -24,8 +24,8 @@
 use ctc_core::attack::{Emulator, EnergyDetector, SpectralMode, SynthesisMode};
 use ctc_core::defense::pipeline::de2_feature;
 use ctc_core::defense::{
-    train_logistic, train_stumps, ChannelAssumption, DetectionPipeline, Detector, FeatureInput,
-    FeatureVector, LabelledSample, Roc,
+    features_from_reception, train_logistic, train_stumps, ChannelAssumption, DetectionPipeline,
+    Detector, FeatureInput, FeatureVector, LabelledSample, Roc,
 };
 use ctc_dsp::io::{write_cf32_file, Cf32Reader};
 use ctc_dsp::psd::{welch_psd, Window};
@@ -402,6 +402,13 @@ fn detector_from(args: &Args) -> Result<Detector, String> {
     };
     let mut detector = Detector::new(assumption);
     if let Some(q) = args.parse_num::<f64>("threshold")? {
+        // Fail closed: NaN, ∞ and non-positive thresholds would either
+        // panic or switch detection off.
+        if !(q.is_finite() && q > 0.0) {
+            return Err(format!(
+                "--threshold must be a finite positive number, got {q}"
+            ));
+        }
         detector = detector.with_threshold(q);
     }
     Ok(detector)
@@ -461,13 +468,10 @@ fn cmd_detect(args: &Args) -> Result<ExitCode, String> {
     let v = detector
         .detect(&r)
         .map_err(|e| format!("detection failed: {e}"))?;
+    let f = features_from_reception(&r).map_err(|e| format!("detection failed: {e}"))?;
     println!(
         "Ĉ40 = {:.4}{:+.4}i  |Ĉ40| = {:.4}  Ĉ42 = {:.4}  ({} chip pairs)",
-        v.features.c40.re,
-        v.features.c40.im,
-        v.features.c40_magnitude,
-        v.features.c42,
-        v.features.sample_count
+        f.c40.re, f.c40.im, f.c40_magnitude, f.c42, f.sample_count
     );
     println!(
         "DE² = {:.4} vs Q = {:.3}  ->  {}",
@@ -1628,6 +1632,34 @@ mod tests {
         assert!(pipeline_from(&a, det)
             .unwrap_err()
             .contains("reading model"));
+    }
+
+    #[test]
+    fn threshold_must_be_finite_and_positive() {
+        for q in ["nan", "NaN", "inf", "-inf", "infinity", "0", "-0", "-1"] {
+            let e = detector_from(&args(&["--threshold", q])).unwrap_err();
+            assert!(e.contains("--threshold"), "{q}: {e}");
+        }
+        let det = detector_from(&args(&["--threshold", "0.25", "--real"])).unwrap();
+        assert_eq!(det.threshold(), 0.25);
+        assert_eq!(det.assumption(), ChannelAssumption::Real);
+        assert_eq!(detector_from(&args(&[])).unwrap(), Detector::default());
+    }
+
+    #[test]
+    fn model_with_non_finite_threshold_is_rejected() {
+        let path = std::env::temp_dir().join(format!("ctc-nan-model-{}.txt", std::process::id()));
+        std::fs::write(
+            &path,
+            "ctc-detector-model v1\nkind threshold\nassumption ideal\n\
+             feature de2_ideal\nthreshold nan\nend\n",
+        )
+        .unwrap();
+        let spec = format!("model:{}", path.display());
+        let result = pipeline_from(&args(&["--detector", &spec]), Detector::default());
+        std::fs::remove_file(&path).unwrap();
+        let e = result.unwrap_err();
+        assert!(e.contains("parsing model") && e.contains("line 5"), "{e}");
     }
 
     #[test]

@@ -7,8 +7,15 @@
 //! when `DE² > Q`. The paper derives `Q = 0.5` from its training data; the
 //! [`Detector::calibrate`] constructor re-derives a threshold from training
 //! receptions the same way (midpoint of the gap between the two classes).
+//!
+//! Each channel assumption computes only what its statistic reads
+//! ([`ChannelAssumption::statistic`]): the ideal `DE²` needs the cumulants
+//! alone, so the fourth-power spectral-line search behind `|Ĉ40|` runs only
+//! for [`ChannelAssumption::Real`] (and for the detection pipeline, whose
+//! extractors read the line).
 
-use crate::defense::features::{features_from_reception, Features};
+use crate::defense::features::{constellation_from_reception, de_squared_ideal_from, Features};
+use ctc_dsp::cumulants::{Cumulants, EmptySamplesError};
 use ctc_dsp::Complex;
 use ctc_zigbee::Reception;
 
@@ -23,11 +30,27 @@ pub enum ChannelAssumption {
 }
 
 impl ChannelAssumption {
-    /// The DE² statistic this assumption reads from estimated features —
-    /// the single place the `Ideal`/`Real` flavour choice lives, shared by
-    /// [`Detector::detect`], [`Detector::detect_aggregated`],
-    /// [`Detector::statistic_for_points`], calibration and the detection
-    /// pipeline ([`crate::defense::pipeline`]).
+    /// The DE² statistic of constellation `points`, computing only what
+    /// this assumption reads: `Ideal` estimates the cumulants alone, `Real`
+    /// runs the full [`Features::estimate`] for its `|Ĉ40|` line. The one
+    /// statistic path behind [`Detector::detect`],
+    /// [`Detector::detect_aggregated`], [`Detector::statistic_for_points`]
+    /// and [`Detector::calibrate`]; bit-identical to
+    /// [`de_squared`](Self::de_squared) of the same points' features.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmptySamplesError`] for an empty point set.
+    pub fn statistic(self, points: &[Complex]) -> Result<f64, EmptySamplesError> {
+        match self {
+            ChannelAssumption::Ideal => Ok(de_squared_ideal_from(&Cumulants::estimate(points)?)),
+            ChannelAssumption::Real => Ok(Features::estimate(points)?.de_squared_real()),
+        }
+    }
+
+    /// The DE² statistic this assumption reads from already-estimated
+    /// features (the detection pipeline, which needs the full features for
+    /// its extractors anyway).
     pub fn de_squared(self, features: &Features) -> f64 {
         match self {
             ChannelAssumption::Ideal => features.de_squared_ideal(),
@@ -36,15 +59,16 @@ impl ChannelAssumption {
     }
 }
 
-/// Outcome of one detection.
+/// Outcome of one detection: the statistic and the decision. Callers that
+/// want the features behind it call
+/// [`features_from_reception`](crate::defense::features_from_reception)
+/// (or read [`FeatureInput::features`](crate::defense::FeatureInput::features)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Verdict {
     /// The decision statistic `DE²`.
     pub de_squared: f64,
     /// `true` = `H1` (WiFi attacker).
     pub is_attack: bool,
-    /// The features behind the decision.
-    pub features: Features,
 }
 
 /// Errors from detection.
@@ -64,7 +88,7 @@ impl std::fmt::Display for DetectError {
 
 impl std::error::Error for DetectError {}
 
-/// The fail-closed decision rule shared by [`Detector::verdict_for`] and
+/// The fail-closed decision rule shared by the detector's verdicts and
 /// the pipeline classifiers: attack when `score > threshold` or when the
 /// score is not finite (NaN or ±∞), which a plain comparison would pass.
 pub(crate) fn exceeds(score: f64, threshold: f64) -> bool {
@@ -117,9 +141,14 @@ impl Detector {
     ///
     /// # Panics
     ///
-    /// Panics if `q <= 0`.
+    /// Panics unless `q` is finite and positive: `q <= 0` or NaN is
+    /// meaningless, and `q = ∞` would pass every finite statistic, which
+    /// switches detection off.
     pub fn with_threshold(mut self, q: f64) -> Self {
-        assert!(q > 0.0, "threshold must be positive");
+        assert!(
+            q.is_finite() && q > 0.0,
+            "threshold must be finite and positive, got {q}"
+        );
         self.threshold = q;
         self
     }
@@ -134,10 +163,7 @@ impl Detector {
         zigbee_training: &[Reception],
         emulated_training: &[Reception],
     ) -> Self {
-        let stat = |r: &Reception| -> Option<f64> {
-            let f = features_from_reception(r).ok()?;
-            Some(assumption.de_squared(&f))
-        };
+        let stat = |r: &Reception| assumption.statistic(&constellation_from_reception(r)).ok();
         let zig: Vec<f64> = zigbee_training.iter().filter_map(stat).collect();
         let emu: Vec<f64> = emulated_training.iter().filter_map(stat).collect();
         Self::calibrate_from_stats(assumption, &zig, &emu)
@@ -178,26 +204,37 @@ impl Detector {
         self.assumption
     }
 
-    /// Computes the statistic for explicit constellation points.
+    /// Computes the statistic for explicit constellation points (`None`
+    /// for an empty set).
     pub fn statistic_for_points(&self, points: &[Complex]) -> Option<f64> {
-        let f = Features::estimate(points).ok()?;
-        Some(self.assumption.de_squared(&f))
+        self.assumption.statistic(points).ok()
     }
 
-    /// The verdict for already-estimated features: the one place the
-    /// statistic meets the threshold. `detect` and `detect_aggregated`
-    /// used to repeat this match inline; the detection pipeline's legacy
-    /// configuration reuses it for bit-identical decisions.
+    /// The verdict on constellation `points`: the one place the statistic
+    /// meets the threshold.
     ///
     /// A non-finite statistic (e.g. an all-zero constellation, whose
     /// normalized cumulants divide by zero) is an attack verdict: content
     /// the detector cannot measure must not pass as authentic.
-    pub fn verdict_for(&self, features: Features) -> Verdict {
+    fn verdict_on(&self, points: &[Complex]) -> Result<Verdict, DetectError> {
+        let de_squared = self
+            .assumption
+            .statistic(points)
+            .map_err(|_| DetectError::NoSamples)?;
+        Ok(Verdict {
+            de_squared,
+            is_attack: exceeds(de_squared, self.threshold),
+        })
+    }
+
+    /// The verdict read off full features: the reference the statistic
+    /// path is tested against bit for bit.
+    #[cfg(test)]
+    pub(crate) fn verdict_for(&self, features: Features) -> Verdict {
         let de_squared = self.assumption.de_squared(&features);
         Verdict {
             de_squared,
             is_attack: exceeds(de_squared, self.threshold),
-            features,
         }
     }
 
@@ -207,8 +244,7 @@ impl Detector {
     ///
     /// Returns [`DetectError::NoSamples`] when no chip samples exist.
     pub fn detect(&self, reception: &Reception) -> Result<Verdict, DetectError> {
-        let features = features_from_reception(reception).map_err(|_| DetectError::NoSamples)?;
-        Ok(self.verdict_for(features))
+        self.verdict_on(&constellation_from_reception(reception))
     }
 
     /// Aggregated detection: pools the constellation points of several
@@ -230,11 +266,9 @@ impl Detector {
     pub fn detect_aggregated(&self, receptions: &[Reception]) -> Result<Verdict, DetectError> {
         let mut points = Vec::new();
         for r in receptions {
-            points.extend(crate::defense::features::constellation_from_reception(r));
+            points.extend(constellation_from_reception(r));
         }
-        let features = crate::defense::features::Features::estimate(&points)
-            .map_err(|_| DetectError::NoSamples)?;
-        Ok(self.verdict_for(features))
+        self.verdict_on(&points)
     }
 }
 
@@ -242,6 +276,7 @@ impl Detector {
 mod tests {
     use super::*;
     use crate::attack::Emulator;
+    use crate::defense::features::features_from_reception;
     use ctc_channel::Link;
     use ctc_zigbee::{Receiver, Transmitter};
     use rand::rngs::StdRng;
@@ -371,6 +406,155 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_and_negative_thresholds_rejected() {
+        // `q = ∞` passes every finite DE² and `q = NaN` fails every
+        // comparison: either would switch detection off.
+        for q in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.0] {
+            let result = std::panic::catch_unwind(|| Detector::default().with_threshold(q));
+            assert!(result.is_err(), "threshold {q} accepted");
+        }
+        for q in [f64::MIN_POSITIVE, 0.25, 0.5, f64::MAX] {
+            assert_eq!(Detector::default().with_threshold(q).threshold(), q);
+        }
+    }
+
+    /// The seeded reception set of the bit-identity test, per class
+    /// (authentic, emulated): frames noiseless and at 0–30 dB, with and
+    /// without a random CFO and phase, with NaN/±Inf sample runs, and (in
+    /// the authentic class) an all-zero wave and an empty capture. The
+    /// second pair holds each class's AWGN-only receptions at 15 dB and
+    /// up, which calibrate to a real gap.
+    fn oracle_receptions() -> ([Vec<Reception>; 2], [Vec<Reception>; 2]) {
+        use ctc_channel::impairments::apply_cfo;
+        use rand::Rng;
+
+        let wave = Transmitter::new().transmit_payload(b"00000").unwrap();
+        let emu = Emulator::new();
+        let forged = emu.received_at_zigbee(&emu.emulate(&wave));
+        let rx = Receiver::usrp();
+        let mut rng = StdRng::seed_from_u64(0x0b5e);
+        let mut classes = [Vec::new(), Vec::new()];
+        let mut gapped = [Vec::new(), Vec::new()];
+        for ((class, gap), clean) in classes.iter_mut().zip(&mut gapped).zip([&wave, &forged]) {
+            class.push(rx.receive(clean));
+            for snr in (0..=30).step_by(3) {
+                let link = Link::awgn(snr as f64);
+                class.push(rx.receive(&link.transmit(clean, &mut rng)));
+                if snr >= 15 {
+                    gap.push(class.last().unwrap().clone());
+                }
+                let cfo_hz = rng.gen_range(-20e3..20e3);
+                let phase = rng.gen_range(0.0..std::f64::consts::TAU);
+                let offset = apply_cfo(clean, cfo_hz, 4.0e6, phase);
+                class.push(rx.receive(&link.transmit(&offset, &mut rng)));
+            }
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut w = clean.clone();
+                let mid = w.len() / 2;
+                w[mid..mid + 16].fill(Complex::new(bad, bad));
+                class.push(rx.receive(&w));
+            }
+        }
+        classes[0].push(rx.receive(&vec![Complex::ZERO; wave.len()]));
+        classes[0].push(rx.receive(&[]));
+        (classes, gapped)
+    }
+
+    #[test]
+    fn statistic_path_is_bit_identical_to_full_features_oracle() {
+        let ([zig, emu], [gap_zig, gap_emu]) = oracle_receptions();
+        let all: Vec<&Reception> = zig.iter().chain(&emu).collect();
+        let bits = |v: Verdict| (v.de_squared.to_bits(), v.is_attack);
+        let mut nan_attacks = 0;
+        let mut empties = 0;
+        for assumption in [ChannelAssumption::Ideal, ChannelAssumption::Real] {
+            for det in [
+                Detector::new(assumption).with_threshold(0.25),
+                Detector::new(assumption),
+            ] {
+                for r in &all {
+                    let points = constellation_from_reception(r);
+                    let oracle = Features::estimate(&points).map(|f| det.verdict_for(f));
+                    match (det.detect(r), oracle) {
+                        (Ok(v), Ok(o)) => {
+                            assert_eq!(bits(v), bits(o), "{assumption:?} Q={}", det.threshold());
+                            nan_attacks += (v.de_squared.is_nan() && v.is_attack) as usize;
+                        }
+                        (Err(DetectError::NoSamples), Err(_)) => empties += 1,
+                        (v, o) => panic!("{assumption:?}: detect {v:?} vs oracle {o:?}"),
+                    }
+                    assert_eq!(
+                        det.statistic_for_points(&points).map(f64::to_bits),
+                        oracle.ok().map(|o| o.de_squared.to_bits())
+                    );
+                }
+                for window in all.windows(3).chain([&all[..0]]) {
+                    let pooled: Vec<Reception> = window.iter().map(|r| (*r).clone()).collect();
+                    let points: Vec<Complex> = window
+                        .iter()
+                        .flat_map(|r| constellation_from_reception(r))
+                        .collect();
+                    let oracle = Features::estimate(&points).map(|f| bits(det.verdict_for(f)));
+                    assert_eq!(
+                        det.detect_aggregated(&pooled).map(bits).ok(),
+                        oracle.ok(),
+                        "{assumption:?}: aggregated verdict"
+                    );
+                }
+            }
+            // Hand-made point sets: all-zero (NaN DE²), one point,
+            // non-finite points and the empty set.
+            let det = Detector::new(assumption).with_threshold(0.25);
+            for points in [
+                vec![Complex::ZERO; 16],
+                vec![Complex::new(0.3, -0.7)],
+                vec![Complex::ONE, Complex::new(f64::NAN, 0.0), Complex::I],
+                vec![Complex::ONE, Complex::new(f64::INFINITY, 1.0)],
+                Vec::new(),
+            ] {
+                let oracle = Features::estimate(&points).map(|f| det.verdict_for(f));
+                assert_eq!(
+                    det.statistic_for_points(&points).map(f64::to_bits),
+                    oracle.ok().map(|o| o.de_squared.to_bits()),
+                    "{assumption:?}: {points:?}"
+                );
+                if let Ok(o) = oracle {
+                    assert!(o.is_attack || o.de_squared.is_finite());
+                }
+            }
+            // Calibration reads the same statistic, over the whole set
+            // (overlapping classes fall back to 0.5) and over the clean
+            // receptions (a real gap).
+            let oracle_stats = |set: &[Reception]| -> Vec<f64> {
+                set.iter()
+                    .filter_map(|r| features_from_reception(r).ok())
+                    .map(|f| assumption.de_squared(&f))
+                    .collect()
+            };
+            for (z, e) in [(&zig, &emu), (&gap_zig, &gap_emu)] {
+                let calibrated = Detector::calibrate(assumption, z, e);
+                let oracle =
+                    Detector::calibrate_from_stats(assumption, &oracle_stats(z), &oracle_stats(e));
+                assert_eq!(
+                    calibrated.threshold().to_bits(),
+                    oracle.threshold().to_bits(),
+                    "{assumption:?}: calibrated Q"
+                );
+            }
+            let gap = Detector::calibrate(assumption, &gap_zig, &gap_emu).threshold();
+            assert!(
+                gap < 0.5,
+                "{assumption:?}: clean classes must calibrate to a gap"
+            );
+        }
+        assert!(
+            nan_attacks > 0,
+            "the all-zero wave must give a NaN attack verdict"
+        );
+        assert!(empties > 0, "the empty capture must give NoSamples");
+    }
+
+    #[test]
     fn aggregation_stabilizes_low_snr_detection() {
         // At 3 dB a single frame's DE² is noise-dominated; pooling ten
         // frames recovers the class separation.
@@ -385,7 +569,12 @@ mod tests {
             ve.de_squared,
             vz.de_squared
         );
-        assert!(vz.features.sample_count > 4000, "pooled all frames");
+        let pooled: Vec<Complex> = zig.iter().flat_map(constellation_from_reception).collect();
+        assert!(pooled.len() > 4000, "pooled all frames");
+        assert_eq!(
+            det.statistic_for_points(&pooled).map(f64::to_bits),
+            Some(vz.de_squared.to_bits())
+        );
     }
 
     #[test]

@@ -164,14 +164,29 @@ impl Features {
     /// (AWGN, no phase offset) scenario:
     /// `DE² = (Re Ĉ40 − 1)² + (Ĉ42 + 1)²`.
     pub fn de_squared_ideal(&self) -> f64 {
-        (self.c40.re - QPSK_C40).powi(2) + (self.c42 - QPSK_C42).powi(2)
+        de_squared(self.c40.re, self.c42)
     }
 
     /// Squared distance using the offset-immune `|Ĉ40|` (Sec. VI-C):
     /// `DE² = (|Ĉ40| − 1)² + (Ĉ42 + 1)²`.
     pub fn de_squared_real(&self) -> f64 {
-        (self.c40_magnitude - QPSK_C40).powi(2) + (self.c42 - QPSK_C42).powi(2)
+        de_squared(self.c40_magnitude, self.c42)
     }
+}
+
+/// The ideal-scenario `DE²` straight from the cumulants, without the
+/// spectral-line search: bit-identical to
+/// [`Features::de_squared_ideal`] of the same points, since both read the
+/// same normalized cumulants through [`de_squared`].
+pub(crate) fn de_squared_ideal_from(c: &Cumulants) -> f64 {
+    de_squared(c.c40_normalized().re, c.c42_normalized())
+}
+
+/// Squared distance from the feature point `(c40, c42)` to the QPSK
+/// Voronoi point `v = [1, -1]ᵀ` — the one place the `DE²` expression
+/// lives, whichever `C40` flavour the caller reads.
+fn de_squared(c40: f64, c42: f64) -> f64 {
+    (c40 - QPSK_C40).powi(2) + (c42 - QPSK_C42).powi(2)
 }
 
 /// One-call feature extraction from a reception.

@@ -38,10 +38,10 @@ use std::sync::Arc;
 /// Lazily shared per-burst inputs handed to every extractor.
 ///
 /// The constellation and its cumulant [`Features`] are computed at most
-/// once per burst no matter how many extractors read them — this is the
-/// single constellation→`Features::estimate` path that
-/// [`Detector::detect`] and [`Detector::detect_aggregated`] used to
-/// duplicate inline.
+/// once per burst no matter how many extractors read them. The bare
+/// [`Detector`] does not go through here: it computes only the statistic
+/// its channel assumption reads
+/// ([`ChannelAssumption::statistic`]).
 #[derive(Debug)]
 pub struct FeatureInput<'a> {
     reception: &'a Reception,
@@ -482,7 +482,7 @@ pub enum Classifier {
 
 impl Classifier {
     /// Fused score and decision for one feature vector. A non-finite
-    /// score is an attack decision, as in [`Detector::verdict_for`].
+    /// score is an attack decision, as in [`Detector::detect`].
     pub fn decide(&self, fv: &FeatureVector) -> (f64, bool) {
         match self {
             Classifier::Threshold { feature, threshold } => {
@@ -844,7 +844,6 @@ impl DetectionPipeline {
             verdict: Verdict {
                 de_squared: self.assumption.de_squared(&features),
                 is_attack,
-                features,
             },
             scores: PipelineScores {
                 fused,
@@ -1066,11 +1065,15 @@ fn join_floats(v: &[f64]) -> String {
         .join(" ")
 }
 
+/// One finite float. `inf` and `nan` parse as `f64` but are rejected: a
+/// threshold of `inf` passes every finite score and one of `nan` fails
+/// every comparison, either of which silently switches detection off.
 fn parse_float(s: Option<&str>, line: usize) -> Result<f64, ModelParseError> {
     s.and_then(|s| s.parse::<f64>().ok())
+        .filter(|v| v.is_finite())
         .ok_or_else(|| ModelParseError {
             line,
-            message: "expected a float".to_string(),
+            message: "expected a finite float".to_string(),
         })
 }
 
@@ -1381,6 +1384,65 @@ mod tests {
                 classifier.decide(&sample.features),
                 parsed.classifier().decide(&sample.features)
             );
+        }
+    }
+
+    #[test]
+    fn trained_models_at_every_snr_still_parse() {
+        // Rejecting non-finite floats must not reject anything training
+        // writes: every trained model round-trips exactly.
+        for (i, snr) in [3.0, 12.0, 25.0].into_iter().enumerate() {
+            let train = labelled(5, snr, 4000 + 100 * i as u64);
+            for assumption in [ChannelAssumption::Ideal, ChannelAssumption::Real] {
+                let det = Detector::new(assumption).with_threshold(0.25);
+                for classifier in [
+                    DetectionPipeline::standard(det).classifier().clone(),
+                    train_logistic(&train).unwrap(),
+                    train_stumps(&train, 1).unwrap(),
+                    train_stumps(&train, 8).unwrap(),
+                ] {
+                    let pipeline =
+                        DetectionPipeline::standard(det).with_classifier(classifier.clone());
+                    let parsed = DetectionPipeline::from_model_str(&pipeline.to_model_string())
+                        .unwrap_or_else(|e| panic!("{snr} dB {}: {e}", classifier.kind()));
+                    assert_eq!(parsed.classifier(), &classifier);
+                    assert_eq!(parsed.assumption(), assumption);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn model_parse_rejects_non_finite_floats() {
+        // `threshold inf` would pass every finite score and `threshold nan`
+        // would fail every comparison: both switch detection off.
+        for bad in ["inf", "-inf", "nan", "NaN", "infinity"] {
+            for (text, line) in [
+                (
+                    format!("{MODEL_MAGIC}\nkind threshold\nassumption ideal\nfeature de2_ideal\nthreshold {bad}\nend\n"),
+                    5,
+                ),
+                (
+                    format!("{MODEL_MAGIC}\nkind logistic\nfeatures a\nmeans 0\nstds 1\nweights {bad}\nbias 0\nend\n"),
+                    6,
+                ),
+                (
+                    format!("{MODEL_MAGIC}\nkind logistic\nfeatures a\nmeans 0\nstds 1\nweights 1\nbias {bad}\nend\n"),
+                    7,
+                ),
+                (
+                    format!("{MODEL_MAGIC}\nkind stumps\nstump de2_ideal 0.25 > {bad}\nend\n"),
+                    3,
+                ),
+                (
+                    format!("{MODEL_MAGIC}\nkind stumps\nstump de2_ideal {bad} > 1\nend\n"),
+                    3,
+                ),
+            ] {
+                let e = DetectionPipeline::from_model_str(&text).unwrap_err();
+                assert_eq!(e.line, line, "{bad}: {e}");
+                assert!(e.message.contains("finite"), "{bad}: {e}");
+            }
         }
     }
 

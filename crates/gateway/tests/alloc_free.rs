@@ -188,6 +188,35 @@ fn feature_estimation_steady_state_allocates_nothing() {
     );
 }
 
+/// The detector's statistic path allocates nothing once warm, for both
+/// channel assumptions: `Ideal` reads the cumulants alone and `Real` runs
+/// the per-thread line search.
+#[test]
+fn detector_statistic_steady_state_allocates_nothing() {
+    use ctc_core::defense::{ChannelAssumption, Detector};
+
+    let points: Vec<Complex> = (0..429)
+        .map(|i| Complex::cis(std::f64::consts::FRAC_PI_2 * (i % 4) as f64 + 0.01 * i as f64))
+        .collect();
+    for assumption in [ChannelAssumption::Ideal, ChannelAssumption::Real] {
+        let detector = Detector::new(assumption).with_threshold(Detector::CALIBRATED_THRESHOLD);
+        let warm = detector.statistic_for_points(&points).unwrap();
+
+        let before = allocations();
+        for _ in 0..16 {
+            assert_eq!(
+                detector.statistic_for_points(&points).map(f64::to_bits),
+                Some(warm.to_bits())
+            );
+        }
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "{assumption:?}: steady-state statistic made {delta} allocations"
+        );
+    }
+}
+
 /// With frames in the stream, capture buffers come from the shared pool:
 /// after one pass has warmed the pool, further bursts are free-list hits,
 /// never fresh allocations.

@@ -34,6 +34,14 @@
 #   - the forgery snapshot is left at ./flight_incident.json for CI to
 #     archive as an artifact.
 #
+# A fifth pass checks that thresholds which would switch detection off are
+# refused (fail-closed smoke):
+#
+#   - `--threshold inf`, `nan` and `0`, and `--detector model:<file>` with
+#     `threshold nan`, each exit non-zero, neither 3 (forgery) nor 101
+#     (panic), and write no frame line;
+#   - the same model file with `threshold 0.25` still runs and exits 3.
+#
 # Run from the repo root after `cargo build --release -p ctc-cli`.
 set -euo pipefail
 
@@ -348,3 +356,39 @@ wait "$usr1_pid" || ustatus=$?
 [ "$ustatus" -eq 0 ] || fail "authentic-only flight run: expected exit 0, got $ustatus"
 
 echo "flight smoke OK: forgery snapshot rendered, SIGUSR1 live dump, obs top/dump --json live"
+
+# --- fail-closed smoke: thresholds that would switch detection off -------
+#
+# `inf` passes every finite DE², `nan` fails every comparison and `0` has
+# no meaning; a model file with `threshold nan` is the same hole. Each must
+# be refused before any frame is classified.
+refused() {
+    local label=$1
+    shift
+    local rstatus=0
+    "$CTC" monitor --input - "$@" < "$workdir/stream.cf32" \
+        > "$workdir/refused.jsonl" 2> "$workdir/refused.err" || rstatus=$?
+    [ "$rstatus" -ne 0 ] || fail "$label: accepted (exit 0)"
+    [ "$rstatus" -ne 3 ] || fail "$label: ran and flagged a forgery (exit 3)"
+    [ "$rstatus" -ne 101 ] || fail "$label: panicked (exit 101)"
+    if grep -q '"type":"frame"' "$workdir/refused.jsonl"; then
+        fail "$label: wrote a frame line"
+    fi
+}
+for q in inf nan 0; do
+    refused "--threshold $q" --threshold "$q"
+done
+model() {
+    printf 'ctc-detector-model v1\nkind threshold\nassumption ideal\nfeature de2_ideal\nthreshold %s\nend\n' "$1"
+}
+model nan > "$workdir/nan_model.txt"
+refused "model threshold nan" --detector "model:$workdir/nan_model.txt"
+
+# Control: the same model with a finite threshold runs and flags the forgery.
+model 0.25 > "$workdir/model.txt"
+cstatus=0
+"$CTC" monitor --input - --detector "model:$workdir/model.txt" \
+    < "$workdir/stream.cf32" > "$workdir/events6.jsonl" 2>/dev/null || cstatus=$?
+[ "$cstatus" -eq 3 ] || fail "finite model threshold: expected exit 3, got $cstatus"
+
+echo "fail-closed smoke OK: inf/nan/0 thresholds and a nan model refused, finite model exits 3"

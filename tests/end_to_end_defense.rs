@@ -4,7 +4,7 @@
 use hide_and_seek::channel::Link;
 use hide_and_seek::core::attack::Emulator;
 use hide_and_seek::core::defense::naive;
-use hide_and_seek::core::defense::{ChannelAssumption, Detector};
+use hide_and_seek::core::defense::{features_from_reception, ChannelAssumption, Detector};
 use hide_and_seek::zigbee::{Receiver, Reception, Transmitter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -202,9 +202,13 @@ fn detector_error_on_empty_reception() {
 
 #[test]
 fn verdict_carries_features() {
+    // The verdict holds the statistic and the decision; the features
+    // behind it come from `features_from_reception`, and agree with it.
     let s = setup();
     let r = Receiver::usrp().receive(&s.forged);
     let v = Detector::new(ChannelAssumption::Ideal).detect(&r).unwrap();
-    assert!(v.features.sample_count > 100);
+    let f = features_from_reception(&r).unwrap();
+    assert!(f.sample_count > 100);
     assert!(v.de_squared > 0.0);
+    assert_eq!(v.de_squared.to_bits(), f.de_squared_ideal().to_bits());
 }
